@@ -44,7 +44,6 @@ from .metrics import (
     normalize_percent,
     per_class_report,
     summarize,
-    timed,
 )
 from .bundle import ModelBundle
 

@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 training error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -71,29 +72,67 @@ def _validate_config(cfg: dict) -> None:
         raise ConfigError("config needs train_csv")
 
 
-def _params_from_cfg(cfg: dict) -> GbtParams:
+def _check_ints(obj):
+    """JSON gives 2.5 as readily as 2: a dataclass field declared int must
+    hold an int."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if f.type == "int" and type(value) is not int:
+            raise ValueError(f"{f.name} must be an integer, got {value!r}")
+    return obj
+
+
+def _from_section(cfg: dict, key: str, build, default=None):
+    """``build`` applied to the config's ``key`` section; a bad key or value
+    there is a ConfigError rather than a traceback."""
     try:
-        return GbtParams(**cfg.get("params", {}))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad params: {exc}") from exc
+        return _check_ints(build(cfg.get(key, {} if default is None else default)))
+    except (OSError, TypeError, ValueError, KeyError, AttributeError) as exc:
+        raise ConfigError(f"bad {key}: {exc}") from exc
+
+
+def _checked_grid(grid: hpo.HpGrid) -> hpo.HpGrid:
+    """Every grid name must be a GbtParams field and every value valid for it."""
+    for name, values in grid.values.items():
+        for v in values:
+            _check_ints(GbtParams(**{name: v}))
+    return grid
+
+
+def _params_from_cfg(cfg: dict) -> GbtParams:
+    return _from_section(cfg, "params", lambda s: GbtParams(**s))
 
 
 def _grid_from_cfg(cfg: dict) -> hpo.HpGrid:
     if "grid_file" in cfg:
-        return hpo.HpGrid.from_file(cfg["grid_file"])
-    return hpo.HpGrid.from_mapping(cfg.get("grid", DEFAULT_GRID))
+        return _from_section(cfg, "grid_file", lambda p: _checked_grid(hpo.HpGrid.from_file(p)))
+    return _from_section(
+        cfg, "grid", lambda m: _checked_grid(hpo.HpGrid.from_mapping(m)), DEFAULT_GRID
+    )
 
 
 def _cv_from_cfg(cfg: dict) -> hpo.CvConfig:
-    return hpo.CvConfig(**cfg.get("cv", {}))
+    return _from_section(cfg, "cv", lambda s: hpo.CvConfig(**s))
 
 
 def _halving_from_cfg(cfg: dict) -> hpo.HalvingConfig:
-    return hpo.HalvingConfig(**cfg.get("halving", {}))
+    return _from_section(cfg, "halving", lambda s: hpo.HalvingConfig(**s))
 
 
 def _policy_from_cfg(cfg: dict) -> casc.LastStagePolicy:
-    return casc.LastStagePolicy(**cfg.get("last_stage", {}))
+    return _from_section(cfg, "last_stage", lambda s: casc.LastStagePolicy(**s))
+
+
+def _search_space(cfg: dict, hpo_mode: str, n_rows: int) -> tuple[hpo.HpGrid, hpo.HalvingConfig]:
+    """The grid and halving config that make one halving search run
+    ``hpo_mode``: hgs and gs leave every parameter unpruned, and gs also
+    scores every candidate in a single rung on all ``n_rows`` rows."""
+    grid = _grid_from_cfg(cfg)
+    if hpo_mode == "gs":
+        return hpo.HpGrid(grid.values, {}), hpo.HalvingConfig(min_resources=n_rows)
+    if hpo_mode == "hgs":
+        grid = hpo.HpGrid(grid.values, {})
+    return grid, _halving_from_cfg(cfg)
 
 
 def _load_train(cfg: dict) -> ds.Dataset:
@@ -110,22 +149,17 @@ def _train_one(cfg: dict, train: ds.Dataset):
     cv = _cv_from_cfg(cfg)
     threshold = float(cfg.get("threshold", casc.DEFAULT_THRESHOLD))
     timings = {"hpo_s": 0.0, "train_s": 0.0}
+    if hpo_mode != "fixed":
+        grid, hc = _search_space(cfg, hpo_mode, train.n_rows)
 
     if method == "mcc":
         w = ds.compute_sample_weights(train.labels, weights)
         params = base_params
         results = []
-        if hpo_mode in ("gs", "hgs"):
-            grid = _grid_from_cfg(cfg)
-            if hpo_mode == "gs":
-                result = hpo.grid_search(
-                    grid, train.features, train.labels, cv, "multiclass", weights, base_params
-                )
-            else:
-                result = hpo.halving_grid_search(
-                    grid, train.features, train.labels, cv, _halving_from_cfg(cfg),
-                    "multiclass", weights, base_params,
-                )
+        if hpo_mode != "fixed":
+            result = hpo.halving_grid_search(
+                grid, train.features, train.labels, cv, hc, "multiclass", weights, base_params
+            )
             params = result.best_params
             results = [result]
             timings["hpo_s"] = result.wall_clock
@@ -137,30 +171,18 @@ def _train_one(cfg: dict, train: ds.Dataset):
     # sbc
     ordering = casc.order_classes(ds.class_frequencies(train))
     policy = _policy_from_cfg(cfg)
-    sbc_weights = "none" if weights == "none" else "per_stage_inverse_frequency"
     if hpo_mode == "fixed":
+        sbc_weights = "none" if weights == "none" else "per_stage_inverse_frequency"
         t0 = time.perf_counter()
         model = casc.train_cascade(train, ordering, base_params, sbc_weights, policy, threshold)
         timings["train_s"] = time.perf_counter() - t0
         return "sbc", model, [], timings
 
-    grid = _grid_from_cfg(cfg)
-    t0 = time.perf_counter()
-    if hpo_mode == "phgs":
-        model, results = hpo.phgs_cascade(
-            train, ordering, grid, cv, _halving_from_cfg(cfg),
-            weights, policy, base_params, threshold,
-        )
-    else:
-        model, results = hpo.per_stage_search(
-            train, ordering, grid, cv, hpo_mode, _halving_from_cfg(cfg),
-            weights, policy, base_params, threshold,
-        )
-    total = time.perf_counter() - t0
+    model, results = hpo.phgs_cascade(
+        train, ordering, grid, cv, hc, weights, policy, base_params, threshold
+    )
     timings["hpo_s"] = sum(r.wall_clock for r in results)
     timings["train_s"] = sum(m.train_seconds for m in model.metadata)
-    # search wall-clock includes bookkeeping; never report more than measured
-    timings["hpo_s"] = min(timings["hpo_s"], total)
     return "sbc", model, results, timings
 
 
@@ -175,15 +197,20 @@ def _predict_labels(bundle: ModelBundle, X: np.ndarray, unknown_action: str):
     return labels, preds
 
 
-def _evaluate_bundle(bundle: ModelBundle, test: ds.Dataset, unknown_action: str, timings: dict, out_dir: str, prefix: str = ""):
+def _score(bundle: ModelBundle, test: ds.Dataset, unknown_action: str, timings: dict):
+    """Predict ``test`` and summarize; Unknown predictions, if any, get their
+    own confusion column. Returns (confusion, per-class report, summary)."""
     t0 = time.perf_counter()
     y_pred, _ = _predict_labels(bundle, test.features, unknown_action)
     timings = dict(timings, test_s=time.perf_counter() - t0)
-    n = len(bundle.class_names)
     has_unknown = bool((np.asarray(y_pred) == metrics.UNKNOWN).any())
-    cm = metrics.confusion(test.labels, y_pred, n, has_unknown=has_unknown)
+    cm = metrics.confusion(test.labels, y_pred, len(bundle.class_names), has_unknown=has_unknown)
     report = metrics.per_class_report(cm)
-    summary = metrics.summarize(cm, report, timings)
+    return cm, report, metrics.summarize(cm, report, timings)
+
+
+def _evaluate_bundle(bundle: ModelBundle, test: ds.Dataset, unknown_action: str, timings: dict, out_dir: str, prefix: str = ""):
+    cm, report, summary = _score(bundle, test, unknown_action, timings)
 
     os.makedirs(out_dir, exist_ok=True)
     text = metrics.format_summary(summary, bundle.class_names)
@@ -303,20 +330,8 @@ def cmd_predict(args) -> int:
 
 
 def _load_unlabeled(path: str, bundle: ModelBundle) -> np.ndarray:
-    import csv as _csv
-
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [r for r in _csv.reader(fh) if r]
-    if not rows:
-        raise FingerprintMismatch(f"{path} is empty")
-    start = 0
+    X = ds.load_features(path)
     expect = bundle.fingerprint["n_features"]
-    # tolerate an optional header row
-    try:
-        [float(c) for c in rows[0]]
-    except ValueError:
-        start = 1
-    X = np.array([[float(c) for c in r] for r in rows[start:]], dtype=np.float64)
     if X.shape[1] != expect:
         raise FingerprintMismatch(f"bundle expects {expect} features, file has {X.shape[1]}")
     return X
@@ -370,14 +385,9 @@ def cmd_benchmark(args) -> int:
             _validate_config(run_cfg)
             kind, model, _, timings = _train_one(run_cfg, train)
             bundle = ModelBundle(kind, model, run_cfg, dataset_fingerprint(train))
-            t0 = time.perf_counter()
-            y_pred, _ = _predict_labels(
-                bundle, test.features, run_cfg.get("unknown_action", "assign_last_class")
+            _, _, columns[token] = _score(
+                bundle, test, run_cfg.get("unknown_action", "assign_last_class"), timings
             )
-            timings["test_s"] = time.perf_counter() - t0
-            cm = metrics.confusion(test.labels, y_pred, train.n_classes)
-            report = metrics.per_class_report(cm)
-            columns[token] = metrics.summarize(cm, report, timings)
         except SbcError as exc:
             failures[token] = str(exc)
 
@@ -450,7 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--weights", choices=["none", "inverse_frequency"])
         p.add_argument("--grid")
         p.add_argument("--unknown-action", choices=["emit_unknown", "assign_last_class"])
-        p.add_argument("--threads", type=int, default=1)  # accepted; training is single-threaded
         p.set_defaults(func=cmd_train, err_code=EXIT_TRAIN, require_hpo=require_hpo)
 
     p = sub.add_parser("evaluate", help="evaluate a saved bundle on a labeled CSV")

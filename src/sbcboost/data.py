@@ -14,13 +14,12 @@ import numpy as np
 
 from .errors import (
     AllRowsDropped,
+    EmptyData,
     EmptyDataset,
     InvalidFraction,
     MalformedRow,
     MissingLabelColumn,
 )
-
-DEFAULT_MISSING_TOKENS = ("", "NaN", "nan")
 
 
 @dataclass(frozen=True)
@@ -128,27 +127,55 @@ class SplitSpec:
             raise InvalidFraction(f"test_fraction must be in (0,1), got {self.test_fraction}")
 
 
-def load_csv(
-    path: str,
-    label_column: str,
-    header: bool = True,
-    missing_tokens: tuple[str, ...] = DEFAULT_MISSING_TOKENS,
-) -> Dataset:
+def _read_rows(path: str) -> list[list[str]]:
+    """The file's CSV rows as cell strings, blank lines skipped."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = [r for r in csv.reader(fh) if r]
+    if not rows:
+        raise EmptyDataset(path)
+    return rows
+
+
+def _parse_row(ri: int, row: list[str], columns: list[str]) -> list[float]:
+    """One row under the cell rules: a blank cell, "NaN" or "nan" becomes
+    NaN; a ragged row or any other non-numeric cell raises MalformedRow."""
+    if len(row) != len(columns):
+        raise MalformedRow(ri, f"expected {len(columns)} cells, got {len(row)}")
+    out = []
+    for cell, name in zip(row, columns):
+        cell = cell.strip()
+        try:
+            out.append(float(cell or "nan"))
+        except ValueError:
+            raise MalformedRow(ri, f"non-numeric cell {cell!r} in column {name!r}") from None
+    return out
+
+
+def _parse_features(rows: list[list[str]], columns: list[str]) -> np.ndarray:
+    """(len(rows), len(columns)) float64 matrix under _parse_row's rules."""
+    X = np.empty((len(rows), len(columns)), dtype=np.float64)
+    for ri, row in enumerate(rows):
+        try:
+            # a row whose every cell float() reads parses as _parse_row would
+            # parse it, only faster; blanks and bad cells take the slow path
+            vals = list(map(float, row))
+        except ValueError:
+            vals = None
+        if vals is None or len(vals) != len(columns):
+            vals = _parse_row(ri, row, columns)
+        X[ri] = vals
+    return X
+
+
+def load_csv(path: str, label_column: str, header: bool = True) -> Dataset:
     """Read a comma-delimited UTF-8 file into a Dataset.
 
-    Class names are encoded by first appearance. Cells matching a missing
-    token become NaN markers for the cleaner; any other non-numeric feature
+    Class names are encoded by first appearance. Blank, "NaN" and "nan"
+    cells become NaN markers for the cleaner; any other non-numeric feature
     cell raises MalformedRow. Without a header, ``label_column`` is the
     stringified column index.
     """
-    missing = set(missing_tokens)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        rows = [r for r in reader if r]
-
-    if not rows:
-        raise EmptyDataset(path)
-
+    rows = _read_rows(path)
     if header:
         columns = rows[0]
         body = rows[1:]
@@ -166,33 +193,36 @@ def load_csv(
 
     class_names: list[str] = []
     class_index: dict[str, int] = {}
-    n_feat = len(feature_names)
-    features = np.empty((len(body), n_feat), dtype=np.float64)
     labels = np.empty(len(body), dtype=np.int64)
-
     for ri, row in enumerate(body):
         if len(row) != len(columns):
             raise MalformedRow(ri, f"expected {len(columns)} cells, got {len(row)}")
-        name = row[label_idx].strip()
+        name = row.pop(label_idx).strip()
         if name not in class_index:
             class_index[name] = len(class_names)
             class_names.append(name)
         labels[ri] = class_index[name]
-        ci = 0
-        for i, cell in enumerate(row):
-            if i == label_idx:
-                continue
-            cell = cell.strip()
-            if cell in missing:
-                features[ri, ci] = np.nan
-            else:
-                try:
-                    features[ri, ci] = float(cell)
-                except ValueError:
-                    raise MalformedRow(ri, f"non-numeric cell {cell!r} in column {columns[i]!r}")
-            ci += 1
 
+    features = _parse_features(body, feature_names)
     return Dataset(features, labels, class_names, feature_names)
+
+
+def load_features(path: str) -> np.ndarray:
+    """Read an unlabeled CSV of feature rows under load_csv's cell rules.
+
+    Row 0 is a header only if one of its cells is neither numeric nor
+    blank, "NaN" or "nan".
+    """
+    rows = _read_rows(path)
+    columns = [str(i) for i in range(len(rows[0]))]
+    try:
+        _parse_row(0, rows[0], columns)
+        body = rows
+    except MalformedRow:
+        columns, body = rows[0], rows[1:]
+    if not body:
+        raise EmptyDataset(path)
+    return _parse_features(body, columns)
 
 
 def export_csv(d: Dataset, path: str, label_column: str = "label") -> None:

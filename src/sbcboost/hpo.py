@@ -201,23 +201,10 @@ def grid_search(
     weights_mode: str = "none",
     base_params: GbtParams = GbtParams(),
 ) -> HpoResult:
-    """Exhaustive search: every combination scored on the full data."""
-    t_start = time.perf_counter()
-    trials = []
-    best = None  # (score, index)
-    combos = grid.combinations()
-    for i, combo in enumerate(combos):
-        params = _params_from_combo(base_params, combo)
-        t0 = time.perf_counter()
-        score = cross_validate(X, y, params, cv, objective, weights_mode)
-        trials.append(Trial(combo, int(y.size), score, time.perf_counter() - t0))
-        if best is None or score > best[0]:
-            best = (score, i)
-    return HpoResult(
-        best_params=_params_from_combo(base_params, combos[best[1]]),
-        best_score=best[0],
-        trials=trials,
-        wall_clock=time.perf_counter() - t_start,
+    """Exhaustive search: successive halving with a single rung, so every
+    combination is scored on the full data."""
+    return halving_grid_search(
+        grid, X, y, cv, HalvingConfig(min_resources=len(y)), objective, weights_mode, base_params
     )
 
 
@@ -333,46 +320,6 @@ def prune_grid(grid: HpGrid, best_prev: GbtParams) -> HpGrid:
     return HpGrid(values, dict(grid.prune))
 
 
-def per_stage_search(
-    train: Dataset,
-    o: casc.ClassOrdering,
-    grid: HpGrid,
-    cv: CvConfig,
-    mode: str,                  # gs | hgs
-    hc: HalvingConfig | None = None,
-    weights_mode: str = "none",
-    policy: casc.LastStagePolicy = casc.LastStagePolicy(),
-    base_params: GbtParams = GbtParams(),
-    thresholds: float = casc.DEFAULT_THRESHOLD,
-) -> tuple[casc.SbcModel, list[HpoResult]]:
-    """Independent grid/halving search per cascade stage (no pruning)."""
-    if mode not in ("gs", "hgs"):
-        raise ValueError(f"mode must be gs or hgs, got {mode!r}")
-    views = casc.stage_views(train, o, policy)
-    stage_weights = "none" if weights_mode == "none" else "inverse_frequency"
-    results = []
-    best_per_stage = []
-    for view in views:
-        X = train.features[view.row_indices]
-        y = view.binary_labels
-        try:
-            if mode == "gs":
-                result = grid_search(grid, X, y, cv, "binary", stage_weights, base_params)
-            else:
-                result = halving_grid_search(
-                    grid, X, y, cv, hc or HalvingConfig(),
-                    objective="binary", weights_mode=stage_weights, base_params=base_params,
-                )
-        except Exception as exc:
-            raise StageError(view.stage, exc) from exc
-        results.append(result)
-        best_per_stage.append(result.best_params)
-
-    sbc_mode = "none" if weights_mode == "none" else "per_stage_inverse_frequency"
-    model = casc.train_cascade(train, o, best_per_stage, sbc_mode, policy, thresholds)
-    return model, results
-
-
 def phgs_cascade(
     train: Dataset,
     o: casc.ClassOrdering,
@@ -385,7 +332,13 @@ def phgs_cascade(
     thresholds: float = casc.DEFAULT_THRESHOLD,
 ) -> tuple[casc.SbcModel, list[HpoResult]]:
     """Per-stage halving search where stage i's grid is the previous stage's
-    effective grid pruned around its best parameters."""
+    effective grid pruned around its best parameters.
+
+    This is the only per-stage driver: hgs is a grid whose prune map is
+    empty (every parameter unpruned), and gs is that grid with
+    ``hc.min_resources`` at least ``train.n_rows``, one rung on each
+    stage's full data.
+    """
     views = casc.stage_views(train, o, policy)
     stage_weights = "none" if weights_mode == "none" else "inverse_frequency"
     results = []

@@ -7,7 +7,6 @@ NaN.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -134,13 +133,6 @@ def normalize_percent(cm: ConfusionMatrix) -> np.ndarray:
     with np.errstate(invalid="ignore", divide="ignore"):
         out = np.where(sums > 0, 100.0 * counts / sums, 0.0)
     return out
-
-
-def timed(op, *args, **kwargs):
-    """Run ``op`` and return (result, wall-clock seconds)."""
-    t0 = time.perf_counter()
-    result = op(*args, **kwargs)
-    return result, time.perf_counter() - t0
 
 
 def format_summary(summary: EvalSummary, class_names: list[str]) -> str:

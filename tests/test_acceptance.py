@@ -35,7 +35,6 @@ from sbcboost.hpo import (
     grid_search,
     halving_grid_search,
     halving_schedule,
-    per_stage_search,
     phgs_cascade,
     prune_grid,
 )
@@ -226,7 +225,7 @@ def test_07_phgs_pruning():
     assert g1.values["max_depth"] == (1, 2)
     assert set(g1.values["max_depth"]) <= set(grid.values["max_depth"])
 
-    _, plain_results = per_stage_search(d, o, grid, cv, "hgs", hc, base_params=base)
+    _, plain_results = phgs_cascade(d, o, HpGrid(grid.values, {}), cv, hc, base_params=base)
     n_pruned = sum(len(r.trials) for r in pruned_results)
     n_plain = sum(len(r.trials) for r in plain_results)
     assert n_pruned < n_plain
@@ -398,7 +397,10 @@ def test_12_optional_unsw_reproduction():
     assert 0.55 <= s_mcc.avg_f1 <= 0.65
 
     o = order_classes(class_frequencies(train))
-    sbc_model, _ = per_stage_search(train, o, grid, cv, "gs", None, base_params=base)
+    sbc_model, _ = phgs_cascade(
+        train, o, HpGrid(grid.values, {}), cv, HalvingConfig(min_resources=train.n_rows),
+        base_params=base,
+    )
     y_sbc = np.array([
         p.class_id for p in predict_batch(sbc_model, test.features, "assign_last_class")
     ])

@@ -107,6 +107,26 @@ class TestTrain:
         _, _, cfg_path = prepared
         assert cli.main(["tune", "--config", str(cfg_path)]) == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("section, value", [
+        ("cv", {"nfolds": 3}),
+        ("cv", {"folds": 1}),
+        ("cv", {"folds": 2.5}),
+        ("halving", {"rate": 3}),
+        ("halving", {"factor": 1}),
+        ("last_stage", {"sorce": "all_others"}),
+        ("last_stage", {"source": "bogus"}),
+        ("grid", {"max_dept": [1, 2]}),
+        ("grid", {"max_depth": [2, 1]}),
+        ("grid", {"max_depth": [0, 1]}),
+        ("grid", {"num_rounds": [2.5, 5]}),
+        ("grid", {"max_depth": {"vals": [1, 2]}}),
+    ])
+    def test_bad_section_is_config_error(self, prepared, section, value):
+        tmp_path, cfg, _ = prepared
+        p = tmp_path / "bad_section.json"
+        p.write_text(json.dumps(dict(cfg, method="sbc", hpo="hgs", **{section: value})))
+        assert cli.main(["tune", "--config", str(p)]) == cli.EXIT_CONFIG
+
 
 class TestEvaluatePredict:
     @pytest.fixture
@@ -169,6 +189,28 @@ class TestEvaluatePredict:
         assert "trace" not in lines[0]
         assert lines[0]["class"].startswith("class")
 
+    @pytest.mark.parametrize("text, n_rows", [
+        (",1.5\n2.0,3.0\n", 2),        # headerless, blank cell in row 0
+        ("1.0,2.0\n,3.0\n", 2),        # blank cell in a later row
+        ("f0,f1\n1.0,NaN\n", 1),       # header row
+    ])
+    def test_predict_missing_cells(self, trained, capsys, text, n_rows):
+        tmp_path, _ = trained
+        unl = tmp_path / "blanks.csv"
+        unl.write_text(text)
+        rc = cli.main(["predict", "--bundle", str(tmp_path / "out" / "bundle.json"),
+                       "--input", str(unl)])
+        assert rc == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == n_rows
+
+    def test_predict_ragged_file(self, trained):
+        tmp_path, _ = trained
+        unl = tmp_path / "ragged.csv"
+        unl.write_text("1.0,2.0\n3.0\n")
+        rc = cli.main(["predict", "--bundle", str(tmp_path / "out" / "bundle.json"),
+                       "--input", str(unl)])
+        assert rc == cli.EXIT_EVAL
+
     def test_predict_sbc_has_trace(self, prepared):
         tmp_path, cfg, _ = prepared
         cfg = dict(cfg, method="sbc", out_dir=str(tmp_path / "sbc_out"))
@@ -210,6 +252,15 @@ class TestBenchmark:
             "benchmark", "--config", str(cfg_path),
             "--methods", "mcc+hgs,sbc+hgs+weights",
         ])
+        assert rc == 0
+        report = (tmp_path / "out" / "benchmark_report.tsv").read_text()
+        assert "FAILED" not in report
+
+    def test_emit_unknown_columns(self, prepared):
+        tmp_path, cfg, _ = prepared
+        p = tmp_path / "unknown.json"
+        p.write_text(json.dumps(dict(cfg, unknown_action="emit_unknown", threshold=0.99)))
+        rc = cli.main(["benchmark", "--config", str(p), "--methods", "mcc+fixed,sbc+fixed"])
         assert rc == 0
         report = (tmp_path / "out" / "benchmark_report.tsv").read_text()
         assert "FAILED" not in report

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from sbcboost import data as ds
 from sbcboost.errors import (
     AllRowsDropped,
+    EmptyData,
     EmptyDataset,
     InvalidFraction,
     MalformedRow,
@@ -62,6 +65,71 @@ class TestLoadCsv:
         assert np.array_equal(d.features, d2.features)
         assert np.array_equal(d.labels, d2.labels)
         assert d2.class_names == d.class_names
+
+
+def reference_features(path, label_column):
+    """load_csv's feature matrix as its earlier cell-by-cell loop read it."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = [r for r in csv.reader(fh) if r]
+    columns, body = rows[0], rows[1:]
+    label_idx = columns.index(label_column)
+    features = np.empty((len(body), len(columns) - 1), dtype=np.float64)
+    for ri, row in enumerate(body):
+        if len(row) != len(columns):
+            raise MalformedRow(ri, "ragged")
+        ci = 0
+        for i, cell in enumerate(row):
+            if i == label_idx:
+                continue
+            cell = cell.strip()
+            if cell in ("", "NaN", "nan"):
+                features[ri, ci] = np.nan
+            else:
+                try:
+                    features[ri, ci] = float(cell)
+                except ValueError:
+                    raise MalformedRow(ri, "non-numeric")
+            ci += 1
+    return features
+
+
+CELLS = ["", " ", "NaN", "nan", " nan ", "-nan", "NAN", "1.5", " -2 ", "1e400", "-inf",
+         "1_0", "0.1", "abc", "0x1"]
+
+
+class TestCellRules:
+    @given(
+        cells=st.lists(st.lists(st.sampled_from(CELLS), min_size=3, max_size=3),
+                       min_size=1, max_size=6),
+        label_at=st.integers(0, 3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_readers_match_reference(self, tmp_path_factory, cells, label_at):
+        """load_csv, load_features and the old loop agree bit for bit,
+        down to which row is malformed."""
+        d = tmp_path_factory.mktemp("cells")
+        names = ["a", "b", "c"]
+        labeled, unlabeled = d / "l.csv", d / "u.csv"
+        with open(labeled, "w", newline="") as fl, open(unlabeled, "w", newline="") as fu:
+            wl, wu = csv.writer(fl), csv.writer(fu)
+            wl.writerow(names[:label_at] + ["label"] + names[label_at:])
+            wu.writerow(names)
+            for row in cells:
+                wl.writerow(row[:label_at] + ["x"] + row[label_at:])
+                wu.writerow(row)
+        try:
+            expect = reference_features(str(labeled), "label")
+        except MalformedRow as exc:
+            for read in (lambda: ds.load_csv(str(labeled), "label"),
+                         lambda: ds.load_features(str(unlabeled))):
+                with pytest.raises(MalformedRow) as got:
+                    read()
+                assert got.value.row_index == exc.row_index
+            return
+        for got in (ds.load_csv(str(labeled), "label").features,
+                    ds.load_features(str(unlabeled))):
+            assert got.shape == expect.shape
+            assert np.array_equal(got.view(np.int64), expect.view(np.int64))
 
 
 class TestClean:
@@ -187,6 +255,10 @@ class TestWeights:
 
     def test_none_scheme(self):
         assert ds.compute_sample_weights(np.array([0, 1]), "none").tolist() == [1.0, 1.0]
+
+    def test_empty_labels(self):
+        with pytest.raises(EmptyData):
+            ds.compute_sample_weights(np.array([], dtype=np.int64))
 
     @given(st.lists(st.integers(0, 3), min_size=2, max_size=60))
     @settings(max_examples=50, deadline=None)

@@ -1,22 +1,25 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
-from sbcboost import hpo
+from sbcboost import cascade as casc
+from sbcboost import cli, hpo
 from sbcboost.cascade import LastStagePolicy, order_classes
 from sbcboost.data import class_frequencies
-from sbcboost.errors import FoldDegenerate, ValueNotInGrid
+from sbcboost.errors import FoldDegenerate, StageError, ValueNotInGrid
 from sbcboost.gbt import GbtParams
 from sbcboost.hpo import (
     CvConfig,
     HalvingConfig,
     HpGrid,
+    HpoResult,
+    Trial,
     cross_validate,
     grid_search,
     halving_grid_search,
     halving_schedule,
-    per_stage_search,
     phgs_cascade,
     prune_grid,
 )
@@ -225,7 +228,7 @@ class TestPhgs:
     def test_fewer_trials_than_unpruned(self):
         d, o, grid, cv, hc = self._setup()
         _, pruned_results = phgs_cascade(d, o, grid, cv, hc, base_params=FAST)
-        _, plain_results = per_stage_search(d, o, grid, cv, "hgs", hc, base_params=FAST)
+        _, plain_results = phgs_cascade(d, o, HpGrid(grid.values, {}), cv, hc, base_params=FAST)
         n_pruned = sum(len(r.trials) for r in pruned_results)
         n_plain = sum(len(r.trials) for r in plain_results)
         interior = any(
@@ -237,6 +240,137 @@ class TestPhgs:
 
     def test_per_stage_gs(self):
         d, o, grid, cv, hc = self._setup()
-        model, results = per_stage_search(d, o, grid, cv, "gs", None, base_params=FAST)
+        model, results = phgs_cascade(
+            d, o, HpGrid(grid.values, {}), cv, HalvingConfig(min_resources=d.n_rows),
+            base_params=FAST,
+        )
         assert all(len(r.trials) == 6 for r in results)
         assert len(model.stages) == 4
+
+
+# --- differential oracle ---------------------------------------------------
+# Exhaustive grid search and per-stage gs/hgs written out directly, without
+# successive halving; halving_grid_search and phgs_cascade must reproduce
+# them bit for bit when given a single full-data rung or no pruning.
+
+def reference_grid_search(grid, X, y, cv, objective="binary", weights_mode="none",
+                          base_params=GbtParams()):
+    t_start = time.perf_counter()
+    trials = []
+    best = None  # (score, index)
+    combos = grid.combinations()
+    for i, combo in enumerate(combos):
+        params = hpo._params_from_combo(base_params, combo)
+        t0 = time.perf_counter()
+        score = cross_validate(X, y, params, cv, objective, weights_mode)
+        trials.append(Trial(combo, int(y.size), score, time.perf_counter() - t0))
+        if best is None or score > best[0]:
+            best = (score, i)
+    return HpoResult(
+        best_params=hpo._params_from_combo(base_params, combos[best[1]]),
+        best_score=best[0],
+        trials=trials,
+        wall_clock=time.perf_counter() - t_start,
+    )
+
+
+def reference_per_stage_search(train, o, grid, cv, mode, hc=None, weights_mode="none",
+                               policy=LastStagePolicy(), base_params=GbtParams(),
+                               thresholds=casc.DEFAULT_THRESHOLD):
+    if mode not in ("gs", "hgs"):
+        raise ValueError(f"mode must be gs or hgs, got {mode!r}")
+    views = casc.stage_views(train, o, policy)
+    stage_weights = "none" if weights_mode == "none" else "inverse_frequency"
+    results = []
+    best_per_stage = []
+    for view in views:
+        X = train.features[view.row_indices]
+        y = view.binary_labels
+        try:
+            if mode == "gs":
+                result = reference_grid_search(grid, X, y, cv, "binary", stage_weights, base_params)
+            else:
+                result = halving_grid_search(
+                    grid, X, y, cv, hc or HalvingConfig(),
+                    objective="binary", weights_mode=stage_weights, base_params=base_params,
+                )
+        except Exception as exc:
+            raise StageError(view.stage, exc) from exc
+        results.append(result)
+        best_per_stage.append(result.best_params)
+
+    sbc_mode = "none" if weights_mode == "none" else "per_stage_inverse_frequency"
+    model = casc.train_cascade(train, o, best_per_stage, sbc_mode, policy, thresholds)
+    return model, results
+
+
+class TestSearchDifferential:
+    """gs, hgs and phgs run through cli._search_space and one halving driver
+    reproduce the reference searches bit for bit."""
+
+    # on "separated" every candidate scores the same, so the tie-break
+    # decides each winner; on "overlapping" the scores differ
+    DATASETS = {
+        "separated": dict(counts=[600, 150, 60, 25], scale=1.0, seed=11),
+        "overlapping": dict(counts=[300, 120, 45], scale=4.0, seed=4),
+    }
+    CFG = {
+        "grid": {
+            "max_depth": {"values": [1, 2, 3], "prune": "upper_bound"},
+            "num_rounds": {"values": [3, 6], "prune": "upper_bound"},
+        },
+        "halving": {"factor": 2, "min_resources": 60, "seed": 3},
+    }
+    CV = CvConfig(folds=3, seed=1)
+
+    @staticmethod
+    def _same(result, ref):
+        assert [(t.params, t.resources, t.score) for t in result.trials] == \
+            [(t.params, t.resources, t.score) for t in ref.trials]
+        assert result.best_params == ref.best_params
+        assert result.best_score == ref.best_score
+
+    @pytest.mark.parametrize("data", DATASETS)
+    @pytest.mark.parametrize("mode", ["gs", "hgs", "phgs"])
+    @pytest.mark.parametrize("weights", ["none", "inverse_frequency"])
+    def test_cascade(self, data, mode, weights):
+        d = blob_dataset(**self.DATASETS[data])
+        o = order_classes(class_frequencies(d))
+        grid, hc = cli._search_space(self.CFG, mode, d.n_rows)
+        model, results = phgs_cascade(d, o, grid, self.CV, hc, weights, base_params=FAST)
+
+        full_grid = HpGrid.from_mapping(self.CFG["grid"])
+        full_hc = HalvingConfig(**self.CFG["halving"])
+        if mode == "phgs":
+            ref_model, ref_results = phgs_cascade(
+                d, o, full_grid, self.CV, full_hc, weights, base_params=FAST
+            )
+        else:
+            ref_model, ref_results = reference_per_stage_search(
+                d, o, full_grid, self.CV, mode, full_hc, weights, base_params=FAST
+            )
+        assert len(results) == len(ref_results) == o.n
+        for result, ref in zip(results, ref_results):
+            self._same(result, ref)
+        assert [m.to_dict() for m in model.stages] == [m.to_dict() for m in ref_model.stages]
+
+    @pytest.mark.parametrize("data", DATASETS)
+    @pytest.mark.parametrize("mode", ["gs", "hgs"])
+    @pytest.mark.parametrize("objective", ["binary", "multiclass"])
+    def test_single_search(self, data, mode, objective):
+        X, y = gaussian_blobs(**self.DATASETS[data])
+        if objective == "binary":
+            y = (y == 0).astype(np.int64)
+        grid, hc = cli._search_space(self.CFG, mode, y.size)
+        result = halving_grid_search(grid, X, y, self.CV, hc, objective, base_params=FAST)
+
+        full_grid = HpGrid.from_mapping(self.CFG["grid"])
+        if mode == "gs":
+            ref = reference_grid_search(full_grid, X, y, self.CV, objective, base_params=FAST)
+            self._same(grid_search(full_grid, X, y, self.CV, objective, base_params=FAST), ref)
+        else:
+            ref = halving_grid_search(
+                full_grid, X, y, self.CV, HalvingConfig(**self.CFG["halving"]), objective,
+                base_params=FAST,
+            )
+        self._same(result, ref)

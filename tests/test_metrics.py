@@ -1,5 +1,4 @@
 import itertools
-import time
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from sbcboost.metrics import (
     normalize_percent,
     per_class_report,
     summarize,
-    timed,
 )
 
 
@@ -140,20 +138,6 @@ class TestNormalize:
         cm = confusion(rng.integers(0, 3, 60), rng.integers(0, 3, 60), 3)
         pct = normalize_percent(cm)
         assert np.allclose(pct.sum(axis=1), 100.0, atol=1e-9)
-
-
-class TestTimed:
-    def test_nonnegative(self):
-        _, secs = timed(lambda: None)
-        assert secs >= 0.0
-
-    def test_returns_result(self):
-        val, secs = timed(lambda x: x * 2, 21)
-        assert val == 42
-
-    def test_measures_sleep(self):
-        _, secs = timed(time.sleep, 0.01)
-        assert secs >= 0.009
 
 
 class TestMacroF1:
