@@ -21,7 +21,6 @@ from .cascade import (
     binarize_stage,
     last_stage_view,
     order_classes,
-    predict,
     predict_batch,
     train_cascade,
 )

@@ -68,15 +68,11 @@ class ModelBundle:
             raise ValueError(f"unknown bundle kind {kind!r}")
         return cls(kind, model, doc.get("config", {}), doc["fingerprint"])
 
-    def check_schema(self, d: Dataset, require_classes: bool = False) -> None:
-        """Fail fast if a dataset can't be consumed by this bundle's model."""
+    def check_schema(self, d: Dataset) -> None:
+        """Fail fast if a dataset has a feature count this bundle's model
+        can't consume; data.align_to checks the class names."""
         if d.n_features != self.fingerprint["n_features"]:
             raise FingerprintMismatch(
                 f"bundle expects {self.fingerprint['n_features']} features, "
                 f"dataset has {d.n_features}"
             )
-        if require_classes:
-            known = self.fingerprint["class_names"]
-            extra = [c for c in d.class_names if c not in known]
-            if extra:
-                raise FingerprintMismatch(f"dataset classes {extra} unknown to bundle")

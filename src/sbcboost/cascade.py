@@ -25,6 +25,8 @@ from .errors import (
 from .gbt import GbtModel, GbtParams
 
 DEFAULT_THRESHOLD = 0.5
+# what predict_batch does with a row no stage accepts
+UNKNOWN_ACTIONS = ("emit_unknown", "assign_last_class")
 
 
 @dataclass(frozen=True)
@@ -179,9 +181,9 @@ def train_cascade(
 ) -> SbcModel:
     """Train all n stages in rank order.
 
-    ``weights_mode`` of per_stage_inverse_frequency recomputes
-    inverse-frequency weights on each stage's binarized labels. A single
-    GbtParams/threshold broadcasts to every stage.
+    ``weights_mode`` is a compute_sample_weights scheme, applied to each
+    stage's binarized labels. A single GbtParams/threshold broadcasts to
+    every stage.
     """
     n = o.n
     if isinstance(params_per_stage, GbtParams):
@@ -190,8 +192,6 @@ def train_cascade(
         raise ValueError(f"need {n} GbtParams, got {len(params_per_stage)}")
     if isinstance(thresholds, (int, float)):
         thresholds = [float(thresholds)] * n
-    if weights_mode not in ("none", "per_stage_inverse_frequency"):
-        raise ValueError(f"unknown weights_mode {weights_mode!r}")
 
     stages = []
     metadata = []
@@ -199,8 +199,7 @@ def train_cascade(
         i = view.stage
         X = train.features[view.row_indices]
         y = view.binary_labels
-        scheme = "inverse_frequency" if weights_mode == "per_stage_inverse_frequency" else "none"
-        w = compute_sample_weights(y, scheme)
+        w = compute_sample_weights(y, weights_mode)
         t0 = time.perf_counter()
         try:
             model = gbt.train_binary(X, y, w, params_per_stage[i])
@@ -220,27 +219,14 @@ def train_cascade(
     )
 
 
-def predict(m: SbcModel, x: np.ndarray) -> Prediction:
-    """Walk stages 0,1,... stopping at the first probability >= threshold."""
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    if x.shape[1] != m.n_features:
-        raise DimensionMismatch(f"expected {m.n_features} features, got {x.shape[1]}")
-    trace: list[tuple[int, float]] = []
-    for i, stage in enumerate(m.stages):
-        p = float(stage.predict_proba(x)[0])
-        trace.append((i, p))
-        if p >= m.thresholds[i]:
-            return Prediction(m.ordering.class_at[i], trace)
-    return Prediction(None, trace)
-
-
 def predict_batch(m: SbcModel, X: np.ndarray, unknown_action: str = "emit_unknown") -> list[Prediction]:
-    """Batched cascade walk, equal to per-row predict.
+    """Walk the stages for every row of ``X`` (or a single 1-D row): each
+    row stops at the first stage whose probability is >= its threshold.
 
     ``assign_last_class`` maps Unknown to the rarest class so closed-set
     metrics stay computable.
     """
-    if unknown_action not in ("emit_unknown", "assign_last_class"):
+    if unknown_action not in UNKNOWN_ACTIONS:
         raise ValueError(f"unknown_action {unknown_action!r}")
     X = np.asarray(X, dtype=np.float64)
     if X.ndim == 1:

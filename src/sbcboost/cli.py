@@ -44,8 +44,6 @@ def _load_config(path: str, overrides: argparse.Namespace) -> dict:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if getattr(overrides, "seed", None) is not None:
-        cfg["seed"] = overrides.seed
     if getattr(overrides, "out", None):
         cfg["out_dir"] = overrides.out
     if getattr(overrides, "weights", None):
@@ -70,6 +68,12 @@ def _validate_config(cfg: dict) -> None:
         raise ConfigError("hpo=fixed requires explicit params")
     if "train_csv" not in cfg:
         raise ConfigError("config needs train_csv")
+    for key, allowed in (("weights", ds.WEIGHT_SCHEMES), ("unknown_action", casc.UNKNOWN_ACTIONS)):
+        if key in cfg and cfg[key] not in allowed:
+            raise ConfigError(f"{key} must be one of {'/'.join(allowed)}, got {cfg[key]!r}")
+    threshold = cfg.get("threshold", casc.DEFAULT_THRESHOLD)
+    if type(threshold) not in (int, float) or not 0.0 < threshold < 1.0:
+        raise ConfigError(f"threshold must be a number in (0, 1), got {threshold!r}")
 
 
 def _check_ints(obj):
@@ -172,9 +176,8 @@ def _train_one(cfg: dict, train: ds.Dataset):
     ordering = casc.order_classes(ds.class_frequencies(train))
     policy = _policy_from_cfg(cfg)
     if hpo_mode == "fixed":
-        sbc_weights = "none" if weights == "none" else "per_stage_inverse_frequency"
         t0 = time.perf_counter()
-        model = casc.train_cascade(train, ordering, base_params, sbc_weights, policy, threshold)
+        model = casc.train_cascade(train, ordering, base_params, weights, policy, threshold)
         timings["train_s"] = time.perf_counter() - t0
         return "sbc", model, [], timings
 
@@ -186,35 +189,30 @@ def _train_one(cfg: dict, train: ds.Dataset):
     return "sbc", model, results, timings
 
 
-def _predict_labels(bundle: ModelBundle, X: np.ndarray, unknown_action: str):
-    """Closed-set label vector (UNKNOWN sentinel where applicable)."""
-    if bundle.kind == "mcc":
-        return bundle.model.predict_class(X), None
-    preds = casc.predict_batch(bundle.model, X, unknown_action)
-    labels = np.array(
-        [metrics.UNKNOWN if p.is_unknown else p.class_id for p in preds], dtype=np.int64
-    )
-    return labels, preds
-
-
 def _score(bundle: ModelBundle, test: ds.Dataset, unknown_action: str, timings: dict):
     """Predict ``test`` and summarize; Unknown predictions, if any, get their
     own confusion column. Returns (confusion, per-class report, summary)."""
     t0 = time.perf_counter()
-    y_pred, _ = _predict_labels(bundle, test.features, unknown_action)
+    if bundle.kind == "mcc":
+        y_pred = bundle.model.predict_class(test.features)
+    else:
+        preds = casc.predict_batch(bundle.model, test.features, unknown_action)
+        y_pred = np.array(
+            [metrics.UNKNOWN if p.is_unknown else p.class_id for p in preds], dtype=np.int64
+        )
     timings = dict(timings, test_s=time.perf_counter() - t0)
-    has_unknown = bool((np.asarray(y_pred) == metrics.UNKNOWN).any())
+    has_unknown = bool((y_pred == metrics.UNKNOWN).any())
     cm = metrics.confusion(test.labels, y_pred, len(bundle.class_names), has_unknown=has_unknown)
     report = metrics.per_class_report(cm)
     return cm, report, metrics.summarize(cm, report, timings)
 
 
-def _evaluate_bundle(bundle: ModelBundle, test: ds.Dataset, unknown_action: str, timings: dict, out_dir: str, prefix: str = ""):
+def _evaluate_bundle(bundle: ModelBundle, test: ds.Dataset, unknown_action: str, timings: dict, out_dir: str):
     cm, report, summary = _score(bundle, test, unknown_action, timings)
 
     os.makedirs(out_dir, exist_ok=True)
     text = metrics.format_summary(summary, bundle.class_names)
-    with open(os.path.join(out_dir, prefix + "summary.txt"), "w", encoding="utf-8") as fh:
+    with open(os.path.join(out_dir, "summary.txt"), "w", encoding="utf-8") as fh:
         fh.write(text)
     machine = {
         "accuracy": summary.accuracy,
@@ -227,12 +225,12 @@ def _evaluate_bundle(bundle: ModelBundle, test: ds.Dataset, unknown_action: str,
             for name, r in zip(bundle.class_names, report)
         ],
     }
-    with open(os.path.join(out_dir, prefix + "summary.json"), "w", encoding="utf-8") as fh:
+    with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
         json.dump(machine, fh, indent=2)
-    metrics.export_matrix(cm.counts, os.path.join(out_dir, prefix + "confusion.csv"))
+    metrics.export_matrix(cm.counts, os.path.join(out_dir, "confusion.csv"))
     metrics.export_matrix(
         np.round(metrics.normalize_percent(cm), 6),
-        os.path.join(out_dir, prefix + "confusion_normalized.csv"),
+        os.path.join(out_dir, "confusion_normalized.csv"),
     )
     return summary
 
@@ -248,8 +246,7 @@ def cmd_prepare(args) -> int:
     )
     raw = ds.load_csv(args.input, args.label_column)
     cleaned, report = ds.clean(raw, policy)
-    spec = ds.SplitSpec(args.test_fraction, args.seed, stratified=True)
-    train, test = ds.stratified_split(cleaned, spec)
+    train, test = ds.stratified_split(cleaned, ds.SplitSpec(args.test_fraction, args.seed))
     os.makedirs(args.out, exist_ok=True)
     ds.export_csv(train, os.path.join(args.out, "train.csv"), args.label_column)
     ds.export_csv(test, os.path.join(args.out, "test.csv"), args.label_column)
@@ -298,7 +295,7 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     bundle = ModelBundle.load(args.bundle)
     test = ds.load_csv(args.test, args.label_column)
-    bundle.check_schema(test, require_classes=True)
+    bundle.check_schema(test)
     test = ds.align_to(test, bundle.class_names)
     summary = _evaluate_bundle(bundle, test, args.unknown_action, {}, args.out)
     print(metrics.format_summary(summary, bundle.class_names), end="")
@@ -381,13 +378,15 @@ def cmd_benchmark(args) -> int:
         run_cfg = dict(cfg, method=method, hpo=hpo_mode, weights=weights)
         if hpo_mode == "fixed":
             run_cfg.setdefault("params", {})
+        _validate_config(run_cfg)
         try:
-            _validate_config(run_cfg)
             kind, model, _, timings = _train_one(run_cfg, train)
             bundle = ModelBundle(kind, model, run_cfg, dataset_fingerprint(train))
             _, _, columns[token] = _score(
                 bundle, test, run_cfg.get("unknown_action", "assign_last_class"), timings
             )
+        except ConfigError:
+            raise  # the whole run's config is bad; only training fails a column
         except SbcError as exc:
             failures[token] = str(exc)
 
@@ -444,22 +443,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-fraction", type=float, default=0.1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--keep-duplicates", action="store_true")
-    p.add_argument("--missing-action", default="drop_row",
-                   choices=["drop_row", "impute_zero", "impute_median"])
-    p.add_argument("--infinity-action", default="drop_row",
-                   choices=["drop_row", "clamp_to_finite_max"])
-    p.add_argument("--negative-action", default="drop_row",
-                   choices=["keep", "drop_row", "clamp_zero"])
+    policy = ds.CleaningPolicy
+    p.add_argument("--missing-action", default=policy.missing_value_action,
+                   choices=policy.MISSING_ACTIONS)
+    p.add_argument("--infinity-action", default=policy.infinity_action,
+                   choices=policy.INFINITY_ACTIONS)
+    p.add_argument("--negative-action", default=policy.negative_action,
+                   choices=policy.NEGATIVE_ACTIONS)
     p.set_defaults(func=cmd_prepare, err_code=EXIT_DATA)
 
     for name, require_hpo in (("train", False), ("tune", True)):
         p = sub.add_parser(name, help="train (and optionally tune) a model from a config")
         p.add_argument("--config", required=True)
-        p.add_argument("--seed", type=int)
         p.add_argument("--out")
-        p.add_argument("--weights", choices=["none", "inverse_frequency"])
+        p.add_argument("--weights", choices=ds.WEIGHT_SCHEMES)
         p.add_argument("--grid")
-        p.add_argument("--unknown-action", choices=["emit_unknown", "assign_last_class"])
+        p.add_argument("--unknown-action", choices=casc.UNKNOWN_ACTIONS)
         p.set_defaults(func=cmd_train, err_code=EXIT_TRAIN, require_hpo=require_hpo)
 
     p = sub.add_parser("evaluate", help="evaluate a saved bundle on a labeled CSV")
@@ -468,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--label-column", default="label")
     p.add_argument("--out", required=True)
     p.add_argument("--unknown-action", default="assign_last_class",
-                   choices=["emit_unknown", "assign_last_class"])
+                   choices=casc.UNKNOWN_ACTIONS)
     p.set_defaults(func=cmd_evaluate, err_code=EXIT_EVAL)
 
     p = sub.add_parser("predict", help="predict rows of an unlabeled CSV")
@@ -481,11 +480,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--methods", required=True,
                    help="comma list, e.g. mcc+gs,sbc+hgs+weights,sbc+phgs")
-    p.add_argument("--seed", type=int)
     p.add_argument("--out")
-    p.add_argument("--weights", choices=["none", "inverse_frequency"])
+    p.add_argument("--weights", choices=ds.WEIGHT_SCHEMES)
     p.add_argument("--grid")
-    p.add_argument("--unknown-action", choices=["emit_unknown", "assign_last_class"])
+    p.add_argument("--unknown-action", choices=casc.UNKNOWN_ACTIONS)
     p.set_defaults(func=cmd_benchmark, err_code=EXIT_TRAIN)
 
     return parser

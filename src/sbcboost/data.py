@@ -16,10 +16,14 @@ from .errors import (
     AllRowsDropped,
     EmptyData,
     EmptyDataset,
+    FingerprintMismatch,
     InvalidFraction,
     MalformedRow,
     MissingLabelColumn,
 )
+
+# sample weighting schemes compute_sample_weights accepts
+WEIGHT_SCHEMES = ("none", "inverse_frequency")
 
 
 @dataclass(frozen=True)
@@ -66,26 +70,25 @@ class Dataset:
 class CleaningPolicy:
     """What to do with duplicate rows and anomalous cells.
 
-    ``negative_features`` restricts the negative-value action to a subset of
-    feature names; None applies it to every feature.
+    The negative-value action applies to every feature. Its default, keep,
+    drops no row.
     """
 
     drop_duplicates: bool = True
-    missing_value_action: str = "drop_row"      # drop_row | impute_zero | impute_median
-    infinity_action: str = "drop_row"           # drop_row | clamp_to_finite_max
-    negative_action: str = "keep"               # keep | drop_row | clamp_zero
-    negative_features: tuple[str, ...] | None = None
+    missing_value_action: str = "drop_row"
+    infinity_action: str = "drop_row"
+    negative_action: str = "keep"
 
-    _MISSING = ("drop_row", "impute_zero", "impute_median")
-    _INF = ("drop_row", "clamp_to_finite_max")
-    _NEG = ("keep", "drop_row", "clamp_zero")
+    MISSING_ACTIONS = ("drop_row", "impute_zero", "impute_median")
+    INFINITY_ACTIONS = ("drop_row", "clamp_to_finite_max")
+    NEGATIVE_ACTIONS = ("keep", "drop_row", "clamp_zero")
 
     def __post_init__(self):
-        if self.missing_value_action not in self._MISSING:
+        if self.missing_value_action not in self.MISSING_ACTIONS:
             raise ValueError(f"bad missing_value_action {self.missing_value_action!r}")
-        if self.infinity_action not in self._INF:
+        if self.infinity_action not in self.INFINITY_ACTIONS:
             raise ValueError(f"bad infinity_action {self.infinity_action!r}")
-        if self.negative_action not in self._NEG:
+        if self.negative_action not in self.NEGATIVE_ACTIONS:
             raise ValueError(f"bad negative_action {self.negative_action!r}")
 
 
@@ -120,7 +123,6 @@ class CleaningReport:
 class SplitSpec:
     test_fraction: float
     seed: int = 0
-    stratified: bool = True
 
     def __post_init__(self):
         if not (0.0 < self.test_fraction < 1.0):
@@ -167,21 +169,15 @@ def _parse_features(rows: list[list[str]], columns: list[str]) -> np.ndarray:
     return X
 
 
-def load_csv(path: str, label_column: str, header: bool = True) -> Dataset:
-    """Read a comma-delimited UTF-8 file into a Dataset.
+def load_csv(path: str, label_column: str) -> Dataset:
+    """Read a comma-delimited UTF-8 file with a header row into a Dataset.
 
     Class names are encoded by first appearance. Blank, "NaN" and "nan"
     cells become NaN markers for the cleaner; any other non-numeric feature
-    cell raises MalformedRow. Without a header, ``label_column`` is the
-    stringified column index.
+    cell raises MalformedRow.
     """
     rows = _read_rows(path)
-    if header:
-        columns = rows[0]
-        body = rows[1:]
-    else:
-        columns = [str(i) for i in range(len(rows[0]))]
-        body = rows
+    columns, body = rows[0], rows[1:]
 
     if label_column not in columns:
         raise MissingLabelColumn(f"{label_column!r} not in {columns}")
@@ -282,24 +278,14 @@ def clean(d: Dataset, p: CleaningPolicy) -> tuple[Dataset, CleaningReport]:
                     col[m & (col < 0)] = lo
 
     if p.negative_action != "keep":
-        if p.negative_features is None:
-            cols = np.arange(X.shape[1])
+        neg = X < 0
+        if p.negative_action == "drop_row":
+            bad = neg.any(axis=1)
+            report.rows_dropped_negative = int(bad.sum())
+            X, y = X[~bad], y[~bad]
         else:
-            cols = np.array(
-                [i for i, n in enumerate(d.feature_names) if n in p.negative_features],
-                dtype=int,
-            )
-        if cols.size:
-            neg = X[:, cols] < 0
-            if p.negative_action == "drop_row":
-                bad = neg.any(axis=1)
-                report.rows_dropped_negative = int(bad.sum())
-                X, y = X[~bad], y[~bad]
-            else:
-                report.cells_clamped_negative = int(neg.sum())
-                sub = X[:, cols]
-                sub[neg] = 0.0
-                X[:, cols] = sub
+            report.cells_clamped_negative = int(neg.sum())
+            X[neg] = 0.0
 
     if p.drop_duplicates and X.shape[0]:
         combined = np.column_stack([X, y.astype(np.float64)])
@@ -329,15 +315,6 @@ def stratified_split(d: Dataset, s: SplitSpec) -> tuple[Dataset, Dataset]:
     go entirely to train with a warning.
     """
     rng = np.random.default_rng(s.seed)
-    n = d.n_rows
-    if not s.stratified:
-        k = int(np.floor(n * s.test_fraction + 0.5))
-        k = min(max(k, 0), n - 1)
-        perm = rng.permutation(n)
-        test_idx = np.sort(perm[:k])
-        train_idx = np.sort(perm[k:])
-        return d.subset(train_idx), d.subset(test_idx)
-
     test_parts = []
     train_parts = []
     for c in range(d.n_classes):
@@ -363,9 +340,13 @@ def align_to(d: Dataset, class_names: list[str]) -> Dataset:
     """Re-encode labels against an external class-name order.
 
     Used when a test file is loaded separately from the training file, so
-    both speak the same label ids. Unknown class names raise KeyError.
+    both speak the same label ids. Class names ``class_names`` lacks raise
+    FingerprintMismatch.
     """
     index = {name: i for i, name in enumerate(class_names)}
+    extra = [c for c in d.class_names if c not in index]
+    if extra:
+        raise FingerprintMismatch(f"dataset classes {extra} unknown to bundle")
     labels = np.array([index[d.class_names[c]] for c in d.labels], dtype=np.int64)
     return Dataset(d.features, labels, list(class_names), list(d.feature_names))
 
@@ -384,10 +365,10 @@ def compute_sample_weights(labels: np.ndarray, scheme: str = "none") -> np.ndarr
     labels = np.asarray(labels)
     if labels.size == 0:
         raise EmptyData("empty label vector")
+    if scheme not in WEIGHT_SCHEMES:
+        raise ValueError(f"unknown weighting scheme {scheme!r}")
     if scheme == "none":
         return np.ones(labels.size, dtype=np.float64)
-    if scheme != "inverse_frequency":
-        raise ValueError(f"unknown weighting scheme {scheme!r}")
     classes, counts = np.unique(labels, return_counts=True)
     n_total = labels.size
     k = classes.size

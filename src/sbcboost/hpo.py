@@ -85,7 +85,6 @@ class HpGrid:
 class CvConfig:
     folds: int = 3
     metric: str = "macro_f1"        # macro_f1 | accuracy
-    stratified: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -135,17 +134,13 @@ class HpoResult:
 
 
 def _kfold_indices(y: np.ndarray, cv: CvConfig) -> list[np.ndarray]:
-    """Deterministic (optionally stratified) fold membership for each row."""
+    """Deterministic stratified fold membership for each row."""
     rng = np.random.default_rng(cv.seed)
-    n = y.size
-    fold_of = np.empty(n, dtype=np.int64)
-    if cv.stratified:
-        for c in np.unique(y):
-            idx = np.flatnonzero(y == c)
-            idx = idx[rng.permutation(idx.size)]
-            fold_of[idx] = np.arange(idx.size) % cv.folds
-    else:
-        fold_of[rng.permutation(n)] = np.arange(n) % cv.folds
+    fold_of = np.empty(y.size, dtype=np.int64)
+    for c in np.unique(y):
+        idx = np.flatnonzero(y == c)
+        idx = idx[rng.permutation(idx.size)]
+        fold_of[idx] = np.arange(idx.size) % cv.folds
     return [np.flatnonzero(fold_of == f) for f in range(cv.folds)]
 
 
@@ -170,9 +165,7 @@ def cross_validate(
         mask[val_idx] = False
         tr_idx = np.flatnonzero(mask)
         y_tr = y[tr_idx]
-        w = compute_sample_weights(
-            y_tr, "inverse_frequency" if weights_mode != "none" else "none"
-        )
+        w = compute_sample_weights(y_tr, weights_mode)
         try:
             if objective == "binary":
                 model = gbt.train_binary(X[tr_idx], y_tr, w, params)
@@ -340,7 +333,6 @@ def phgs_cascade(
     stage's full data.
     """
     views = casc.stage_views(train, o, policy)
-    stage_weights = "none" if weights_mode == "none" else "inverse_frequency"
     results = []
     best_per_stage = []
     current_grid = grid
@@ -350,7 +342,7 @@ def phgs_cascade(
         try:
             result = halving_grid_search(
                 current_grid, X, y, cv, hc,
-                objective="binary", weights_mode=stage_weights, base_params=base_params,
+                objective="binary", weights_mode=weights_mode, base_params=base_params,
             )
         except Exception as exc:
             raise StageError(view.stage, exc) from exc
@@ -359,6 +351,5 @@ def phgs_cascade(
         if view.stage < o.n - 1:
             current_grid = prune_grid(current_grid, result.best_params)
 
-    sbc_mode = "none" if weights_mode == "none" else "per_stage_inverse_frequency"
-    model = casc.train_cascade(train, o, best_per_stage, sbc_mode, policy, thresholds)
+    model = casc.train_cascade(train, o, best_per_stage, weights_mode, policy, thresholds)
     return model, results

@@ -149,5 +149,5 @@ def format_summary(summary: EvalSummary, class_names: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export_matrix(matrix: np.ndarray, path: str, delimiter: str = ",") -> None:
-    np.savetxt(path, matrix, delimiter=delimiter, fmt="%s")
+def export_matrix(matrix: np.ndarray, path: str) -> None:
+    np.savetxt(path, matrix, delimiter=",", fmt="%s")

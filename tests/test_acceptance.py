@@ -16,7 +16,6 @@ from sbcboost.cascade import (
     LastStagePolicy,
     binarize_stage,
     order_classes,
-    predict,
     predict_batch,
     train_cascade,
 )
@@ -92,7 +91,8 @@ def test_01_gradient_correctness():
 
 
 def test_02_cascade_routing_oracle():
-    """predict() agrees with an independently coded stage walk, exactly."""
+    """predict_batch() on one row agrees with an independently coded stage
+    walk, exactly."""
     d = blob_dataset([800, 300, 120, 60, 30], scale=2.0, seed=2)
     o = order_classes(class_frequencies(d))
     m = train_cascade(d, o, GbtParams(num_rounds=10, max_depth=3, seed=2))
@@ -104,7 +104,7 @@ def test_02_cascade_routing_oracle():
 
     mismatches = 0
     for x in instances:
-        p = predict(m, x)
+        p = predict_batch(m, x)[0]
         # brute-force walk, written from scratch
         oracle_trace = []
         oracle_class = None

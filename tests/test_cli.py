@@ -53,6 +53,18 @@ class TestPrepare:
         assert train.n_rows + test.n_rows == 70
         assert (out / "cleaning_report.txt").exists()
 
+    def test_prepare_default_keeps_negative_rows(self, tmp_path):
+        d = blob_dataset([50, 20], seed=3)
+        assert (d.features < 0).any()
+        raw = tmp_path / "raw.csv"
+        ds.export_csv(d, str(raw))
+        out = tmp_path / "prep"
+        assert cli.main(["prepare", "--input", str(raw), "--out", str(out)]) == 0
+        assert "rows_dropped_negative: 0" in (out / "cleaning_report.txt").read_text()
+        train = ds.load_csv(str(out / "train.csv"), "label")
+        test = ds.load_csv(str(out / "test.csv"), "label")
+        assert train.n_rows + test.n_rows == 70
+
     def test_prepare_deterministic(self, tmp_path):
         d = blob_dataset([40, 15], seed=5)
         raw = tmp_path / "raw.csv"
@@ -126,6 +138,58 @@ class TestTrain:
         p = tmp_path / "bad_section.json"
         p.write_text(json.dumps(dict(cfg, method="sbc", hpo="hgs", **{section: value})))
         assert cli.main(["tune", "--config", str(p)]) == cli.EXIT_CONFIG
+
+
+    @pytest.mark.parametrize("method", ["mcc", "sbc"])
+    @pytest.mark.parametrize("key, value", [
+        ("weights", "bogus"),
+        ("unknown_action", "bogus"),
+        ("threshold", "abc"),
+        ("threshold", 2.0),
+        ("threshold", 0),
+        ("threshold", True),
+    ])
+    def test_bad_top_level_value_is_config_error(self, prepared, method, key, value):
+        tmp_path, cfg, _ = prepared
+        p = tmp_path / "bad_value.json"
+        p.write_text(json.dumps(dict(cfg, method=method, **{key: value})))
+        assert cli.main(["train", "--config", str(p)]) == cli.EXIT_CONFIG
+
+
+def _with_unseen_class(tmp_path, cfg):
+    """The test split with its rarest class renamed to one no bundle knows."""
+    test = ds.load_csv(cfg["test_csv"], "label")
+    names = test.class_names[:-1] + ["intruder"]
+    path = tmp_path / "unseen.csv"
+    ds.export_csv(ds.Dataset(test.features, test.labels, names, test.feature_names), str(path))
+    return str(path)
+
+
+class TestUnseenClass:
+    def _check(self, rc, capsys):
+        assert rc == cli.EXIT_EVAL
+        assert "['intruder'] unknown to bundle" in capsys.readouterr().err
+
+    def test_train(self, prepared, capsys):
+        tmp_path, cfg, _ = prepared
+        p = tmp_path / "unseen.json"
+        p.write_text(json.dumps(dict(cfg, test_csv=_with_unseen_class(tmp_path, cfg))))
+        self._check(cli.main(["train", "--config", str(p)]), capsys)
+
+    def test_evaluate(self, prepared, capsys):
+        tmp_path, cfg, cfg_path = prepared
+        cli.main(["train", "--config", str(cfg_path)])
+        rc = cli.main(["evaluate", "--bundle", str(tmp_path / "out" / "bundle.json"),
+                       "--test", _with_unseen_class(tmp_path, cfg),
+                       "--out", str(tmp_path / "eval")])
+        self._check(rc, capsys)
+
+    def test_benchmark(self, prepared, capsys):
+        tmp_path, cfg, _ = prepared
+        p = tmp_path / "unseen.json"
+        p.write_text(json.dumps(dict(cfg, test_csv=_with_unseen_class(tmp_path, cfg))))
+        self._check(cli.main(["benchmark", "--config", str(p), "--methods", "mcc+fixed"]),
+                    capsys)
 
 
 class TestEvaluatePredict:
@@ -264,6 +328,19 @@ class TestBenchmark:
         assert rc == 0
         report = (tmp_path / "out" / "benchmark_report.tsv").read_text()
         assert "FAILED" not in report
+
+
+    @pytest.mark.parametrize("update, methods", [
+        ({"cv": {"nfolds": 3}}, "mcc+fixed,sbc+hgs"),
+        ({}, "mcc+phgs"),
+    ])
+    def test_config_error_exits_2(self, prepared, update, methods):
+        tmp_path, cfg, _ = prepared
+        p = tmp_path / "bad_benchmark.json"
+        p.write_text(json.dumps(dict(cfg, **update)))
+        rc = cli.main(["benchmark", "--config", str(p), "--methods", methods])
+        assert rc == cli.EXIT_CONFIG
+        assert not (tmp_path / "out" / "benchmark_report.tsv").exists()
 
 
 class TestBundle:

@@ -47,13 +47,6 @@ class TestLoadCsv:
         with pytest.raises(EmptyDataset):
             ds.load_csv(str(p), "label")
 
-    def test_headerless(self, tmp_path):
-        p = tmp_path / "h.csv"
-        p.write_text("1.0,2.0,x\n3.0,4.0,y\n")
-        d = ds.load_csv(str(p), "2", header=False)
-        assert d.class_names == ["x", "y"]
-        assert d.features.shape == (2, 2)
-
     def test_round_trip_bit_for_bit(self, tmp_path):
         src = blob_dataset([20, 10], seed=3)
         first = tmp_path / "first.csv"
@@ -164,12 +157,16 @@ class TestClean:
         assert cleaned.features[0, 0] == 3.0
         assert report.cells_imputed == 1
 
-    def test_negative_drop_subset(self):
-        d = self._make([[-1.0, 5.0], [1.0, -5.0]])
-        pol = ds.CleaningPolicy(negative_action="drop_row", negative_features=("f0",))
-        cleaned, report = ds.clean(d, pol)
-        assert cleaned.n_rows == 1
-        assert report.rows_dropped_negative == 1
+    @pytest.mark.parametrize("action, rows, clamped", [
+        ("drop_row", [[1.0, 5.0]], 0),
+        ("clamp_zero", [[0.0, 5.0], [1.0, 5.0], [1.0, 0.0]], 2),
+    ])
+    def test_negative_action_every_feature(self, action, rows, clamped):
+        d = self._make([[-1.0, 5.0], [1.0, 5.0], [1.0, -5.0]])
+        cleaned, report = ds.clean(d, ds.CleaningPolicy(negative_action=action))
+        assert cleaned.features.tolist() == rows
+        assert report.rows_dropped_negative == 3 - len(rows)
+        assert report.cells_clamped_negative == clamped
 
     def test_invariant_no_nan_inf(self):
         d = self._make([[np.nan, np.inf], [1.0, 2.0], [3.0, -1.0]])

@@ -299,8 +299,7 @@ def reference_per_stage_search(train, o, grid, cv, mode, hc=None, weights_mode="
         results.append(result)
         best_per_stage.append(result.best_params)
 
-    sbc_mode = "none" if weights_mode == "none" else "per_stage_inverse_frequency"
-    model = casc.train_cascade(train, o, best_per_stage, sbc_mode, policy, thresholds)
+    model = casc.train_cascade(train, o, best_per_stage, weights_mode, policy, thresholds)
     return model, results
 
 
