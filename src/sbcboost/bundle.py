@@ -4,16 +4,18 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cascade import SbcModel
 from .data import Dataset
-from .errors import FingerprintMismatch
+from .errors import BundleError, FingerprintMismatch
 from .gbt import GbtModel
 
 BUNDLE_VERSION = 1
+_PAYLOAD_TYPES = {"sbc": SbcModel, "mcc": GbtModel}
 
 
 def dataset_fingerprint(d: Dataset) -> dict:
@@ -50,22 +52,39 @@ class ModelBundle:
             "fingerprint": self.fingerprint,
             "payload": self.model.to_dict(),
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
+        # write beside the target, then rename over it: a failed save leaves
+        # any earlier bundle whole
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
 
     @classmethod
     def load(cls, path: str) -> "ModelBundle":
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except ValueError as exc:  # bad JSON or bad UTF-8
+                raise BundleError(f"{path}: not a JSON file: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise BundleError(f"{path}: not a bundle object")
         if doc.get("bundle_version") != BUNDLE_VERSION:
-            raise ValueError(f"unsupported bundle version {doc.get('bundle_version')!r}")
+            raise BundleError(f"{path}: unsupported bundle version {doc.get('bundle_version')!r}")
+        missing = [key for key in ("kind", "payload", "fingerprint") if key not in doc]
+        if missing:
+            raise BundleError(f"{path}: bundle lacks {', '.join(missing)}")
         kind = doc["kind"]
-        if kind == "sbc":
-            model = SbcModel.from_dict(doc["payload"])
-        elif kind == "mcc":
-            model = GbtModel.from_dict(doc["payload"])
-        else:
-            raise ValueError(f"unknown bundle kind {kind!r}")
+        if not isinstance(kind, str) or kind not in _PAYLOAD_TYPES:
+            raise BundleError(f"{path}: unknown bundle kind {kind!r}")
+        try:
+            model = _PAYLOAD_TYPES[kind].from_dict(doc["payload"])
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise BundleError(f"{path}: bad {kind} payload: {exc!r}") from exc
         return cls(kind, model, doc.get("config", {}), doc["fingerprint"])
 
     def check_schema(self, d: Dataset) -> None:

@@ -23,7 +23,7 @@ from . import data as ds
 from . import hpo
 from . import metrics
 from .bundle import ModelBundle, dataset_fingerprint
-from .errors import ConfigError, FingerprintMismatch, SbcError
+from .errors import BundleError, ConfigError, FingerprintMismatch, SbcError
 from .gbt import GbtParams, train_multiclass
 
 EXIT_CONFIG = 2
@@ -496,7 +496,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FingerprintMismatch,) as exc:
+    except (BundleError, FingerprintMismatch) as exc:
         print(f"evaluation error: {exc}", file=sys.stderr)
         return EXIT_EVAL
     except SbcError as exc:

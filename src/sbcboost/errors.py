@@ -95,5 +95,9 @@ class FingerprintMismatch(SbcError):
     pass
 
 
+class BundleError(SbcError):
+    """A bundle file that is not valid JSON or not a bundle this version reads."""
+
+
 class ConfigError(SbcError):
     pass

@@ -2,8 +2,9 @@
 
 Supports a binary-logistic head (cascade base classifier) and a
 multiclass-softmax head (baseline). Split finding is exact greedy over
-sorted feature values; all randomness flows from the params seed, so
-training is reproducible bit-for-bit.
+columns sorted once per fit (the column-block layout of XGBoost); all
+randomness flows from the params seed, so training is reproducible
+bit-for-bit.
 """
 
 from __future__ import annotations
@@ -250,81 +251,129 @@ def softmax_loss(scores, y, w):
     return float(np.sum(np.asarray(w) * -np.log(np.clip(py, 1e-300, None))))
 
 
-def _best_split_for_feature(values, g, h, l2_lambda, min_child_weight, parent_score):
-    """Scan one feature's sorted values; returns (gain, threshold, default_left).
+def _best_split_for_feature(v, gv, hv, gm, hm, has_missing, l2_lambda, min_child_weight,
+                            parent_score):
+    """Scan one feature's non-missing values, sorted ascending with their g and
+    h; gm/hm sum the missing rows. Returns (gain, threshold, default_left).
 
     Missing values are routed as a block to whichever side scores better.
     """
-    miss = np.isnan(values)
-    gm, hm = g[miss].sum(), h[miss].sum()
-    v = values[~miss]
-    gv, hv = g[~miss], h[~miss]
-    if v.size < 2:
-        return None
-    order = np.argsort(v, kind="stable")
-    v = v[order]
-    gv = gv[order]
-    hv = hv[order]
-
-    cut = np.flatnonzero(v[:-1] < v[1:])
+    cut = (v[:-1] < v[1:]).nonzero()[0]
     if cut.size == 0:
         return None
-    gl = np.cumsum(gv)[cut]
-    hl = np.cumsum(hv)[cut]
+    gl = gv.cumsum()[cut]
+    hl = hv.cumsum()[cut]
     g_tot = gv.sum() + gm
     h_tot = hv.sum() + hm
-    thresholds = 0.5 * (v[cut] + v[cut + 1])
 
     best = None
-    for add_left in (True, False):
-        GL = gl + (gm if add_left else 0.0)
-        HL = hl + (hm if add_left else 0.0)
+    # With no missing rows, gm = hm = 0.0 and the False pass scores exactly as
+    # the True one, so it never wins the strict ">" below and is skipped.
+    # Adding 0.0 only turns -0.0 into 0.0, which no score below can see.
+    for add_left in (True, False) if has_missing else (True,):
+        GL, HL = (gl + gm, hl + hm) if add_left and has_missing else (gl, hl)
         GR = g_tot - GL
         HR = h_tot - HL
         ok = (HL >= min_child_weight) & (HR >= min_child_weight)
         if not ok.any():
             continue
         score = GL**2 / (HL + l2_lambda) + GR**2 / (HR + l2_lambda)
-        score = np.where(ok, score, -np.inf)
-        i = int(np.argmax(score))  # argmax takes the first max: lowest threshold
+        score[~ok] = -np.inf
+        i = int(score.argmax())  # argmax takes the first max: lowest threshold
         gain = 0.5 * (score[i] - parent_score)
         # strict ">" keeps default_left on ties (no-missing nodes are symmetric)
         if best is None or gain > best[0]:
-            best = (float(gain), float(thresholds[i]), add_left)
+            c = cut[i]
+            best = (float(gain), float(0.5 * (v[c] + v[c + 1])), add_left)
     return best
 
 
-def _build_tree(X, g, h, rows, params: GbtParams) -> Tree:
+def _sort_columns(XT) -> np.ndarray:
+    """Each feature's rows in ascending value order, NaNs last and ties in row
+    order, as an (F, n) int32 array: the one sort of a fit."""
+    return np.argsort(XT, axis=1, kind="stable").astype(np.int32)
+
+
+def _tree_block(order, rows) -> np.ndarray:
+    """The (F+1, m) int32 block a tree grows over: line f lists ``rows`` in
+    feature f's sorted order and the last line lists them in row order.
+
+    Filtering a stable sort keeps tied values in row order, as a stable sort
+    of each node's own rows would.
+    """
+    n_features, n = order.shape
+    if rows.size < n:
+        keep = np.zeros(n, dtype=bool)
+        keep[rows] = True
+        order = order[keep[order]].reshape(n_features, rows.size)
+    return np.vstack([order, rows.astype(np.int32)])
+
+
+def _best_split(XT, g, h, seg, lam, mcw, parent_score):
+    """Best (gain, feature, threshold, default_left) of the node whose block
+    segment is ``seg``, or None."""
+    best = None
+    for f in range(XT.shape[0]):
+        order = seg[f]
+        v = XT[f].take(order)
+        n_ok = v.size
+        if np.isnan(v[-1]):  # NaNs sort last, in row order
+            n_ok -= int(np.count_nonzero(np.isnan(v)))
+        if n_ok < 2:
+            continue
+        has_missing = n_ok < v.size
+        gm = g[order[n_ok:]].sum() if has_missing else 0.0
+        hm = h[order[n_ok:]].sum() if has_missing else 0.0
+        ok = order[:n_ok]
+        cand = _best_split_for_feature(v[:n_ok], g.take(ok), h.take(ok), gm, hm, has_missing,
+                                       lam, mcw, parent_score)
+        if cand is None:
+            continue
+        gain, thr, dl = cand
+        if best is None or gain > best[0]:  # strict: lowest feature index wins ties
+            best = (gain, f, thr, dl)
+    return best
+
+
+def _build_tree(XT, g, h, block, params: GbtParams) -> Tree:
+    """Grow one tree over ``block`` (see _tree_block), partitioning it in
+    place: each node owns the columns [s, e) of every line, and a split moves
+    its left rows, in order, to the front. Nodes are numbered in preorder."""
     tree = Tree()
     lam = params.l2_lambda
     mcw = params.min_child_weight
-
-    def grow(rows, depth):
+    goes_left = np.zeros(XT.shape[1], dtype=bool)
+    stack = [(0, block.shape[1], 0, -1, True)]  # (s, e, depth, parent, is_left)
+    while stack:
+        s, e, depth, parent, is_left = stack.pop()
+        seg = block[:, s:e]
+        rows = seg[-1]
         G = g[rows].sum()
         H = h[rows].sum()
-        if depth >= params.max_depth or rows.size < 2:
-            return tree.add_leaf(-G / (H + lam))
-        parent_score = G**2 / (H + lam)
-        best = None  # (gain, feature, threshold, default_left)
-        for f in range(X.shape[1]):
-            cand = _best_split_for_feature(X[rows, f], g[rows], h[rows], lam, mcw, parent_score)
-            if cand is None:
-                continue
-            gain, thr, dl = cand
-            if best is None or gain > best[0]:  # strict: lowest feature index wins ties
-                best = (gain, f, thr, dl)
+        best = None
+        if depth < params.max_depth and rows.size >= 2:
+            best = _best_split(XT, g, h, seg, lam, mcw, G**2 / (H + lam))
         if best is None or best[0] <= _GAIN_EPS:
-            return tree.add_leaf(-G / (H + lam))
-        gain, f, thr, dl = best
-        node = tree.add_split(f, thr, dl)
-        v = X[rows, f]
-        miss = np.isnan(v)
-        go_left = np.where(miss, dl, v < thr)
-        tree.left[node] = grow(rows[go_left], depth + 1)
-        tree.right[node] = grow(rows[~go_left], depth + 1)
-        return node
-
-    grow(rows, 0)
+            node = tree.add_leaf(-G / (H + lam))
+        else:
+            _, f, thr, dl = best
+            node = tree.add_split(f, thr, dl)
+            v = XT[f].take(rows)
+            go_left = np.where(np.isnan(v), dl, v < thr)
+            goes_left[rows] = go_left
+            # children at max_depth are leaves: they only need their rows
+            lines = seg if depth + 1 < params.max_depth else seg[-1:]
+            mask = goes_left[lines]
+            n_left = int(np.count_nonzero(go_left))
+            left, right = lines[mask], lines[~mask]
+            # a child can be empty: the midpoint of two adjacent doubles
+            # may round down to the lower one, sending its rows right
+            lines[:, :n_left] = left.reshape(len(lines), n_left)
+            lines[:, n_left:] = right.reshape(len(lines), e - s - n_left)
+            stack.append((s + n_left, e, depth + 1, node, False))
+            stack.append((s, s + n_left, depth + 1, node, True))
+        if parent >= 0:
+            (tree.left if is_left else tree.right)[parent] = node
     return tree
 
 
@@ -364,12 +413,14 @@ def train_binary(X, y, w, p: GbtParams) -> GbtModel:
     prior = min(max(pos / tot, 1e-12), 1 - 1e-12)
     base = float(np.log(prior / (1.0 - prior)))
 
+    XT = np.ascontiguousarray(X.T)
+    order = _sort_columns(XT)
     margin = np.full(X.shape[0], base, dtype=np.float64)
     trees: list[list[Tree]] = []
     for t in range(p.num_rounds):
         g, h = logistic_grad_hess(margin, y, w)
         rows = _subsample_rows(X.shape[0], p, t)
-        tree = _build_tree(X, g, h, rows, p)
+        tree = _build_tree(XT, g, h, _tree_block(order, rows), p)
         trees.append([tree])
         margin += p.learning_rate * tree.predict(X)
     return GbtModel("binary_logistic", 1, base, trees, p, X.shape[1])
@@ -383,14 +434,16 @@ def train_multiclass(X, y, w, p: GbtParams) -> GbtModel:
         raise SingleClassInput("multiclass training needs >= 2 classes")
     n_classes = int(classes.max()) + 1
 
+    XT = np.ascontiguousarray(X.T)
+    order = _sort_columns(XT)
     margin = np.zeros((X.shape[0], n_classes), dtype=np.float64)
     trees: list[list[Tree]] = []
     for t in range(p.num_rounds):
-        g, h = softmax_grad_hess(margin, y, w)
+        g, h = (np.ascontiguousarray(a.T) for a in softmax_grad_hess(margin, y, w))
         rows = _subsample_rows(X.shape[0], p, t)
         group = []
         for k in range(n_classes):
-            tree = _build_tree(X, g[:, k], h[:, k], rows, p)
+            tree = _build_tree(XT, g[k], h[k], _tree_block(order, rows), p)
             group.append(tree)
             margin[:, k] += p.learning_rate * tree.predict(X)
         trees.append(group)

@@ -354,3 +354,38 @@ class TestBundle:
         bundle.save(path + ".copy")
         again = ModelBundle.load(path + ".copy")
         assert np.array_equal(before, again.model.predict_proba(test.features))
+
+    @pytest.mark.parametrize("text", [
+        '{"bundle_version": 99}',
+        '{not json',
+        '{"bundle_version": 1, "payload": {}, "fingerprint": {}}',
+        '{"bundle_version": 1, "kind": "mcc", "fingerprint": {}}',
+        '{"bundle_version": 1, "kind": "xgb", "payload": {}, "fingerprint": {}}',
+        '{"bundle_version": 1, "kind": "mcc", "payload": {"format_version": 1}, '
+        '"fingerprint": {}}',
+    ], ids=["version", "not_json", "no_kind", "no_payload", "unknown_kind", "bad_payload"])
+    def test_bad_bundle_exits_5(self, tmp_path, capsys, text):
+        path = tmp_path / "bundle.json"
+        path.write_text(text)
+        rows = tmp_path / "rows.csv"
+        rows.write_text("1.0,2.0\n")
+        rc = cli.main(["predict", "--bundle", str(path), "--input", str(rows)])
+        assert rc == cli.EXIT_EVAL
+        assert str(path) in capsys.readouterr().err
+
+    def test_failed_save_keeps_old_bundle(self, prepared, monkeypatch):
+        tmp_path, _, cfg_path = prepared
+        cli.main(["train", "--config", str(cfg_path)])
+        out = tmp_path / "out"
+        before = (out / "bundle.json").read_bytes()
+        bundle = ModelBundle.load(str(out / "bundle.json"))
+
+        def dump_then_fail(doc, fh):
+            fh.write('{"bundle_version": 1, "kind": ')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", dump_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            bundle.save(str(out / "bundle.json"))
+        assert (out / "bundle.json").read_bytes() == before
+        assert not list(out.glob("*.tmp"))

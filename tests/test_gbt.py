@@ -1,13 +1,16 @@
+import gc
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sbcboost import gbt
 from sbcboost.errors import DimensionMismatch, EmptyData, SingleClassInput
 from sbcboost.gbt import (
     GbtModel,
     GbtParams,
+    Tree,
     logistic_grad_hess,
     softmax_grad_hess,
     train_binary,
@@ -16,6 +19,122 @@ from sbcboost.gbt import (
 )
 
 from conftest import gaussian_blobs
+
+
+# --- differential oracle: the learner as it was before columns were sorted
+# once per fit, with a stable argsort of every node's values per feature ---
+
+def reference_best_split_for_feature(values, g, h, l2_lambda, min_child_weight, parent_score):
+    miss = np.isnan(values)
+    gm, hm = g[miss].sum(), h[miss].sum()
+    v = values[~miss]
+    gv, hv = g[~miss], h[~miss]
+    if v.size < 2:
+        return None
+    order = np.argsort(v, kind="stable")
+    v = v[order]
+    gv = gv[order]
+    hv = hv[order]
+
+    cut = np.flatnonzero(v[:-1] < v[1:])
+    if cut.size == 0:
+        return None
+    gl = np.cumsum(gv)[cut]
+    hl = np.cumsum(hv)[cut]
+    g_tot = gv.sum() + gm
+    h_tot = hv.sum() + hm
+    thresholds = 0.5 * (v[cut] + v[cut + 1])
+
+    best = None
+    for add_left in (True, False):
+        GL = gl + (gm if add_left else 0.0)
+        HL = hl + (hm if add_left else 0.0)
+        GR = g_tot - GL
+        HR = h_tot - HL
+        ok = (HL >= min_child_weight) & (HR >= min_child_weight)
+        if not ok.any():
+            continue
+        score = GL**2 / (HL + l2_lambda) + GR**2 / (HR + l2_lambda)
+        score = np.where(ok, score, -np.inf)
+        i = int(np.argmax(score))
+        gain = 0.5 * (score[i] - parent_score)
+        if best is None or gain > best[0]:
+            best = (float(gain), float(thresholds[i]), add_left)
+    return best
+
+
+def reference_build_tree(X, g, h, rows, params: GbtParams) -> Tree:
+    tree = Tree()
+    lam = params.l2_lambda
+    mcw = params.min_child_weight
+
+    def grow(rows, depth):
+        G = g[rows].sum()
+        H = h[rows].sum()
+        if depth >= params.max_depth or rows.size < 2:
+            return tree.add_leaf(-G / (H + lam))
+        parent_score = G**2 / (H + lam)
+        best = None
+        for f in range(X.shape[1]):
+            cand = reference_best_split_for_feature(X[rows, f], g[rows], h[rows], lam, mcw,
+                                                    parent_score)
+            if cand is None:
+                continue
+            gain, thr, dl = cand
+            if best is None or gain > best[0]:
+                best = (gain, f, thr, dl)
+        if best is None or best[0] <= gbt._GAIN_EPS:
+            return tree.add_leaf(-G / (H + lam))
+        gain, f, thr, dl = best
+        node = tree.add_split(f, thr, dl)
+        v = X[rows, f]
+        miss = np.isnan(v)
+        go_left = np.where(miss, dl, v < thr)
+        tree.left[node] = grow(rows[go_left], depth + 1)
+        tree.right[node] = grow(rows[~go_left], depth + 1)
+        return node
+
+    grow(rows, 0)
+    return tree
+
+
+def reference_train_binary(X, y, w, p: GbtParams) -> GbtModel:
+    X, y, w = gbt._validate_training_input(X, y, w)
+    if set(np.unique(y).tolist()) != {0, 1}:
+        raise SingleClassInput("binary training needs labels {0,1} with both present")
+    pos = float(w[y == 1].sum())
+    tot = float(w.sum())
+    prior = min(max(pos / tot, 1e-12), 1 - 1e-12)
+    base = float(np.log(prior / (1.0 - prior)))
+    margin = np.full(X.shape[0], base, dtype=np.float64)
+    trees = []
+    for t in range(p.num_rounds):
+        g, h = logistic_grad_hess(margin, y, w)
+        rows = gbt._subsample_rows(X.shape[0], p, t)
+        tree = reference_build_tree(X, g, h, rows, p)
+        trees.append([tree])
+        margin += p.learning_rate * tree.predict(X)
+    return GbtModel("binary_logistic", 1, base, trees, p, X.shape[1])
+
+
+def reference_train_multiclass(X, y, w, p: GbtParams) -> GbtModel:
+    X, y, w = gbt._validate_training_input(X, y, w)
+    classes = np.unique(y)
+    if classes.size < 2:
+        raise SingleClassInput("multiclass training needs >= 2 classes")
+    n_classes = int(classes.max()) + 1
+    margin = np.zeros((X.shape[0], n_classes), dtype=np.float64)
+    trees = []
+    for t in range(p.num_rounds):
+        g, h = softmax_grad_hess(margin, y, w)
+        rows = gbt._subsample_rows(X.shape[0], p, t)
+        group = []
+        for k in range(n_classes):
+            tree = reference_build_tree(X, g[:, k], h[:, k], rows, p)
+            group.append(tree)
+            margin[:, k] += p.learning_rate * tree.predict(X)
+        trees.append(group)
+    return GbtModel("multiclass_softmax", n_classes, 0.0, trees, p, X.shape[1])
 
 
 def brute_force_threshold_accuracy(X, y):
@@ -43,8 +162,9 @@ class TestGradients:
         # one-leaf tree: G=-3, H=2, lambda=1 -> -G/(H+lambda) = 1.0
         g = np.array([-3.0])
         h = np.array([2.0])
-        X = np.array([[0.0]])
-        tree = gbt._build_tree(X, g, h, np.array([0]), GbtParams(l2_lambda=1.0))
+        XT = np.array([[0.0]])
+        block = gbt._tree_block(gbt._sort_columns(XT), np.array([0]))
+        tree = gbt._build_tree(XT, g, h, block, GbtParams(l2_lambda=1.0))
         assert tree.value[0] == pytest.approx(1.0)
 
 
@@ -176,3 +296,131 @@ class TestSerialization:
     def test_version_check(self):
         with pytest.raises(ValueError):
             GbtModel.from_dict({"format_version": 99})
+
+
+@st.composite
+def feature_matrix(draw, n):
+    """Columns with heavy ties, constant and all-NaN columns, and NaN cells."""
+    cols = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["ties", "floats", "constant", "all_nan"]))
+        if kind == "ties":
+            # 0.5 * (0.0 + 5e-324) rounds to 0.0: a split that empties a child
+            cell = st.sampled_from([-1.5, 0.0, 5e-324, 1.0, 2.0, np.nan])
+        elif kind == "floats":
+            cell = st.floats(-1e3, 1e3) | st.just(np.nan)
+        elif kind == "constant":
+            cell = st.just(draw(st.floats(-5.0, 5.0)))
+        else:
+            cell = st.just(np.nan)
+        cols.append(draw(st.lists(cell, min_size=n, max_size=n)))
+    return np.array(cols, dtype=np.float64).T
+
+
+@st.composite
+def gbt_params(draw):
+    return GbtParams(
+        num_rounds=draw(st.integers(1, 3)),
+        max_depth=draw(st.integers(1, 4)),
+        min_child_weight=draw(st.sampled_from([0.0, 1.0, 4.0, 1e3])),
+        l2_lambda=draw(st.sampled_from([0.0, 1.0])),
+        subsample=draw(st.sampled_from([1.0, 0.6])),
+        seed=draw(st.integers(0, 3)),
+    )
+
+
+@st.composite
+def training_inputs(draw):
+    n = draw(st.integers(1, 40))
+    X = draw(feature_matrix(n))
+    y = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    w = draw(st.none() | st.lists(st.floats(0.0, 5.0), min_size=n, max_size=n))
+    return X, y, None if w is None else np.array(w), draw(gbt_params())
+
+
+def _fit_json(train, X, y, w, p):
+    """The model's to_dict() as JSON text, so NaNs compare equal, or the
+    name of the error the fit raised: both learners must fail alike too."""
+    try:
+        return json.dumps(train(X, y, w, p).to_dict())
+    except Exception as exc:
+        return type(exc).__name__
+
+
+class TestPresortDifferential:
+    """Sorting each column once per fit grows the same trees, bit for bit, as
+    sorting every node's values (the reference learner above)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(training_inputs())
+    def test_train_binary(self, case):
+        X, y, w, p = case
+        y = y % 2
+        with np.errstate(all="ignore"):
+            assert _fit_json(train_binary, X, y, w, p) == \
+                _fit_json(reference_train_binary, X, y, w, p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(training_inputs())
+    def test_train_multiclass(self, case):
+        X, y, w, p = case
+        with np.errstate(all="ignore"):
+            assert _fit_json(train_multiclass, X, y, w, p) == \
+                _fit_json(reference_train_multiclass, X, y, w, p)
+
+    @pytest.mark.parametrize("max_depth", [1, 2, 3])
+    def test_split_with_empty_child(self, max_depth):
+        # the threshold rounds down to 0.0, so no non-missing row goes left
+        X = np.array([[np.nan], [0.0], [0.0], [5e-324], [np.nan], [0.0], [0.0], [0.0]])
+        y = np.array([0, 0, 0, 0, 0, 0, 1, 0])
+        for lam in (0.0, 1.0):
+            p = GbtParams(num_rounds=2, max_depth=max_depth, min_child_weight=0.0, l2_lambda=lam)
+            with np.errstate(all="ignore"):
+                got = _fit_json(train_binary, X, y, None, p)
+                assert got == _fit_json(reference_train_binary, X, y, None, p)
+            assert '"value": [' in got
+
+    def test_tree_block_orders_ties_by_row(self):
+        # small arrays sort stably under any numpy kind, so this one is large
+        rng = np.random.default_rng(0)
+        X = rng.integers(0, 4, size=(2000, 3)).astype(np.float64)
+        X[rng.random(X.shape) < 0.1] = np.nan
+        rows = np.sort(rng.choice(2000, 1500, replace=False))
+        block = gbt._tree_block(gbt._sort_columns(np.ascontiguousarray(X.T)), rows)
+        for f in range(X.shape[1]):
+            # value order, NaNs last, ties by row
+            assert np.array_equal(block[f], rows[np.lexsort((rows, X[rows, f]))])
+        assert np.array_equal(block[-1], rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_build_tree(self, data):
+        n = data.draw(st.integers(1, 30))
+        X = data.draw(feature_matrix(n))
+        g = np.array(data.draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n)))
+        h = np.array(data.draw(st.lists(st.floats(0.0, 5.0), min_size=n, max_size=n)))
+        rows = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))))
+        p = data.draw(gbt_params())
+        XT = np.ascontiguousarray(X.T)
+        block = gbt._tree_block(gbt._sort_columns(XT), rows)
+        with np.errstate(all="ignore"):
+            got = gbt._build_tree(XT, g, h, block, p)
+            want = reference_build_tree(X, g, h, rows, p)
+        assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+
+
+class TestNoReferenceCycles:
+    def test_fit_leaves_no_cyclic_garbage(self):
+        # a tree builder that closes over itself keeps every tree, and the
+        # gradients it captured, alive until the cyclic collector runs
+        X, y = gaussian_blobs([30, 30, 30], seed=4)
+        p = GbtParams(num_rounds=3, max_depth=3, seed=0)
+        train_multiclass(X, y, None, p)  # warm-up
+        gc.collect()
+        gc.disable()
+        try:
+            train_binary(X, (y == 0).astype(int), None, p)
+            train_multiclass(X, y, None, p)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
