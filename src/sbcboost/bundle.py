@@ -83,7 +83,7 @@ class ModelBundle:
             raise BundleError(f"{path}: unknown bundle kind {kind!r}")
         try:
             model = _PAYLOAD_TYPES[kind].from_dict(doc["payload"])
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise BundleError(f"{path}: bad {kind} payload: {exc!r}") from exc
         return cls(kind, model, doc.get("config", {}), doc["fingerprint"])
 

@@ -9,7 +9,7 @@ stage accepts come back as Unknown.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -96,6 +96,15 @@ class SbcModel:
     class_names: list[str]
     n_features: int
 
+    def __post_init__(self):
+        if not len(self.thresholds) == len(self.stages) == self.ordering.n:
+            raise ValueError(f"{self.ordering.n} classes need as many stages and thresholds, "
+                             f"got {len(self.stages)} and {len(self.thresholds)}")
+        if not all(0.0 < t < 1.0 for t in self.thresholds):
+            raise ValueError(f"thresholds must be in (0, 1), got {self.thresholds}")
+        if any(s.objective != "binary_logistic" for s in self.stages):
+            raise ValueError("every cascade stage must be a binary_logistic model")
+
     def to_dict(self) -> dict:
         return {
             "format_version": 1,
@@ -177,21 +186,19 @@ def train_cascade(
     params_per_stage: GbtParams | list[GbtParams],
     weights_mode: str = "none",
     policy: LastStagePolicy = LastStagePolicy(),
-    thresholds: float | list[float] = DEFAULT_THRESHOLD,
+    threshold: float = DEFAULT_THRESHOLD,
 ) -> SbcModel:
     """Train all n stages in rank order.
 
     ``weights_mode`` is a compute_sample_weights scheme, applied to each
-    stage's binarized labels. A single GbtParams/threshold broadcasts to
-    every stage.
+    stage's binarized labels. A single GbtParams broadcasts to every stage;
+    every stage accepts at ``threshold``.
     """
     n = o.n
     if isinstance(params_per_stage, GbtParams):
         params_per_stage = [params_per_stage] * n
     if len(params_per_stage) != n:
         raise ValueError(f"need {n} GbtParams, got {len(params_per_stage)}")
-    if isinstance(thresholds, (int, float)):
-        thresholds = [float(thresholds)] * n
 
     stages = []
     metadata = []
@@ -211,7 +218,7 @@ def train_cascade(
     return SbcModel(
         ordering=o,
         stages=stages,
-        thresholds=list(thresholds),
+        thresholds=[float(threshold)] * n,
         last_stage_policy=policy,
         metadata=metadata,
         class_names=list(train.class_names),

@@ -44,6 +44,10 @@ class DimensionMismatch(SbcError):
     pass
 
 
+class InvalidWeights(SbcError):
+    """Sample weights that are NaN, infinite, negative or all zero."""
+
+
 # --- cascade ---
 
 class TooFewClasses(SbcError):

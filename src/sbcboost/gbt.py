@@ -1,7 +1,8 @@
 """Self-contained gradient-boosted decision trees.
 
 Supports a binary-logistic head (cascade base classifier) and a
-multiclass-softmax head (baseline). Split finding is exact greedy over
+multiclass-softmax head (baseline), boosted by one loop: the binary head is
+its one-column case. Split finding is exact greedy over
 columns sorted once per fit (the column-block layout of XGBoost); all
 randomness flows from the params seed, so training is reproducible
 bit-for-bit.
@@ -9,11 +10,11 @@ bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyData, SingleClassInput
+from .errors import DimensionMismatch, EmptyData, InvalidWeights, SingleClassInput
 
 _GAIN_EPS = 1e-12
 
@@ -44,94 +45,74 @@ class GbtParams:
 
 
 class Tree:
-    """A single regression tree stored as flat parallel arrays.
+    """A single regression tree stored as parallel numpy arrays, nodes in
+    preorder.
 
-    Internal nodes hold (feature, threshold, default_left); leaves hold an
-    additive log-odds contribution in ``value``.
+    Internal nodes hold (feature, threshold, default_left) and the indices of
+    their children; a leaf has ``left == right == -1`` and holds an additive
+    log-odds contribution in ``value``.
     """
 
-    __slots__ = ("feature", "threshold", "left", "right", "default_left", "value", "is_leaf")
+    __slots__ = ("feature", "threshold", "left", "right", "default_left", "value")
 
-    def __init__(self):
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.default_left: list[bool] = []
-        self.value: list[float] = []
-        self.is_leaf: list[bool] = []
-
-    def add_leaf(self, value: float) -> int:
-        idx = len(self.value)
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.default_left.append(True)
-        self.value.append(float(value))
-        self.is_leaf.append(True)
-        return idx
-
-    def add_split(self, feature: int, threshold: float, default_left: bool) -> int:
-        idx = len(self.value)
-        self.feature.append(int(feature))
-        self.threshold.append(float(threshold))
-        self.left.append(-1)
-        self.right.append(-1)
-        self.default_left.append(bool(default_left))
-        self.value.append(0.0)
-        self.is_leaf.append(False)
-        return idx
+    def __init__(self, feature, threshold, left, right, default_left, value):
+        self.feature = np.asarray(feature, dtype=np.int64)
+        self.threshold = np.asarray(threshold, dtype=np.float64)
+        self.left = np.asarray(left, dtype=np.int64)
+        self.right = np.asarray(right, dtype=np.int64)
+        self.default_left = np.asarray(default_left, dtype=bool)
+        self.value = np.asarray(value, dtype=np.float64)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        feature = np.asarray(self.feature)
-        threshold = np.asarray(self.threshold)
-        left = np.asarray(self.left)
-        right = np.asarray(self.right)
-        default_left = np.asarray(self.default_left)
-        value = np.asarray(self.value)
-        is_leaf = np.asarray(self.is_leaf)
-
         node = np.zeros(X.shape[0], dtype=np.int64)
-        active = ~is_leaf[node]
+        active = self.left[node] >= 0
         while active.any():
             rows = np.flatnonzero(active)
             nd = node[rows]
-            v = X[rows, feature[nd]]
-            miss = np.isnan(v)
-            go_left = np.where(miss, default_left[nd], v < threshold[nd])
-            node[rows] = np.where(go_left, left[nd], right[nd])
-            active = ~is_leaf[node]
-        return value[node]
+            v = X[rows, self.feature[nd]]
+            go_left = np.where(np.isnan(v), self.default_left[nd], v < self.threshold[nd])
+            node[rows] = np.where(go_left, self.left[nd], self.right[nd])
+            active = self.left[node] >= 0
+        return self.value[node]
 
     def max_path_depth(self) -> int:
         def depth(i):
-            if self.is_leaf[i]:
+            if self.left[i] < 0:
                 return 0
             return 1 + max(depth(self.left[i]), depth(self.right[i]))
-        return depth(0) if self.value else 0
+        return depth(0)
 
     def to_dict(self) -> dict:
         return {
-            "feature": list(self.feature),
-            "threshold": [float(t) for t in self.threshold],
-            "left": list(self.left),
-            "right": list(self.right),
-            "default_left": list(self.default_left),
-            "value": [float(v) for v in self.value],
-            "is_leaf": list(self.is_leaf),
+            "feature": self.feature.tolist(),
+            "threshold": self.threshold.tolist(),
+            "left": self.left.tolist(),
+            "right": self.right.tolist(),
+            "default_left": self.default_left.tolist(),
+            "value": self.value.tolist(),
+            "is_leaf": (self.left < 0).tolist(),
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "Tree":
-        t = cls()
-        t.feature = [int(x) for x in d["feature"]]
-        t.threshold = [float(x) for x in d["threshold"]]
-        t.left = [int(x) for x in d["left"]]
-        t.right = [int(x) for x in d["right"]]
-        t.default_left = [bool(x) for x in d["default_left"]]
-        t.value = [float(x) for x in d["value"]]
-        t.is_leaf = [bool(x) for x in d["is_leaf"]]
+    def from_dict(cls, d: dict, n_features: int) -> "Tree":
+        """Decode and check a tree: every node's children come after it and
+        within the tree, so a walk always ends at a leaf."""
+        t = cls(*(d[name] for name in cls.__slots__))
+        n = t.value.size
+        if n == 0 or any(getattr(t, name).shape != (n,) for name in cls.__slots__):
+            raise ValueError("tree fields must be non-empty lists of equal length")
+        leaf = t.left == -1
+        if not np.array_equal(leaf, t.right == -1):
+            raise ValueError("a tree node has only one child")
+        if not np.array_equal(leaf, np.asarray(d["is_leaf"], dtype=bool)):
+            raise ValueError("a tree's is_leaf disagrees with its children")
+        split = np.flatnonzero(~leaf)
+        for child in (t.left[split], t.right[split]):
+            if np.any((child <= split) | (child >= n)):
+                raise ValueError("a tree child index is not after its parent and within the tree")
+        f = t.feature[split]
+        if np.any((f < 0) | (f >= n_features)):
+            raise ValueError(f"a tree splits on a feature outside [0, {n_features})")
         return t
 
 
@@ -154,17 +135,11 @@ class GbtModel:
 
     def predict_margin(self, X: np.ndarray) -> np.ndarray:
         X = self._check_input(X)
-        lr = self.params.learning_rate
-        if self.objective == "binary_logistic":
-            margin = np.full(X.shape[0], self.base_score, dtype=np.float64)
-            for group in self.trees:
-                margin += lr * group[0].predict(X)
-            return margin
         margin = np.full((X.shape[0], self.n_classes), self.base_score, dtype=np.float64)
         for group in self.trees:
             for k, tree in enumerate(group):
-                margin[:, k] += lr * tree.predict(X)
-        return margin
+                margin[:, k] += self.params.learning_rate * tree.predict(X)
+        return margin[:, 0] if self.objective == "binary_logistic" else margin
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         margin = self.predict_margin(X)
@@ -195,13 +170,23 @@ class GbtModel:
     def from_dict(cls, d: dict) -> "GbtModel":
         if d.get("format_version") != 1:
             raise ValueError(f"unsupported model format version {d.get('format_version')!r}")
+        objective = d["objective"]
+        n_classes = int(d["n_classes"])
+        if objective not in ("binary_logistic", "multiclass_softmax"):
+            raise ValueError(f"unknown objective {objective!r}")
+        if n_classes < 2 if objective == "multiclass_softmax" else n_classes != 1:
+            raise ValueError(f"{objective} cannot have n_classes={n_classes}")
+        n_features = int(d["n_features"])
+        trees = [[Tree.from_dict(t, n_features) for t in group] for group in d["trees"]]
+        if any(len(group) != n_classes for group in trees):
+            raise ValueError(f"every tree group must hold {n_classes} trees")
         return cls(
-            objective=d["objective"],
-            n_classes=int(d["n_classes"]),
+            objective=objective,
+            n_classes=n_classes,
             base_score=float(d["base_score"]),
-            trees=[[Tree.from_dict(t) for t in group] for group in d["trees"]],
+            trees=trees,
             params=GbtParams(**d["params"]),
-            n_features=int(d["n_features"]),
+            n_features=n_features,
         )
 
 
@@ -339,13 +324,15 @@ def _build_tree(XT, g, h, block, params: GbtParams) -> Tree:
     """Grow one tree over ``block`` (see _tree_block), partitioning it in
     place: each node owns the columns [s, e) of every line, and a split moves
     its left rows, in order, to the front. Nodes are numbered in preorder."""
-    tree = Tree()
     lam = params.l2_lambda
     mcw = params.min_child_weight
     goes_left = np.zeros(XT.shape[1], dtype=bool)
+    nodes = []                      # (feature, threshold, default_left, value)
+    left_of, right_of = [], []      # each node's children; -1 at a leaf
     stack = [(0, block.shape[1], 0, -1, True)]  # (s, e, depth, parent, is_left)
     while stack:
         s, e, depth, parent, is_left = stack.pop()
+        node = len(nodes)
         seg = block[:, s:e]
         rows = seg[-1]
         G = g[rows].sum()
@@ -354,10 +341,10 @@ def _build_tree(XT, g, h, block, params: GbtParams) -> Tree:
         if depth < params.max_depth and rows.size >= 2:
             best = _best_split(XT, g, h, seg, lam, mcw, G**2 / (H + lam))
         if best is None or best[0] <= _GAIN_EPS:
-            node = tree.add_leaf(-G / (H + lam))
+            nodes.append((-1, 0.0, True, -G / (H + lam)))
         else:
             _, f, thr, dl = best
-            node = tree.add_split(f, thr, dl)
+            nodes.append((f, thr, dl, 0.0))
             v = XT[f].take(rows)
             go_left = np.where(np.isnan(v), dl, v < thr)
             goes_left[rows] = go_left
@@ -372,9 +359,12 @@ def _build_tree(XT, g, h, block, params: GbtParams) -> Tree:
             lines[:, n_left:] = right.reshape(len(lines), e - s - n_left)
             stack.append((s + n_left, e, depth + 1, node, False))
             stack.append((s, s + n_left, depth + 1, node, True))
+        left_of.append(-1)
+        right_of.append(-1)
         if parent >= 0:
-            (tree.left if is_left else tree.right)[parent] = node
-    return tree
+            (left_of if is_left else right_of)[parent] = node
+    feature, threshold, default_left, value = zip(*nodes)
+    return Tree(feature, threshold, left_of, right_of, default_left, value)
 
 
 def _subsample_rows(n, params: GbtParams, round_index: int) -> np.ndarray:
@@ -398,7 +388,29 @@ def _validate_training_input(X, y, w):
         w = np.asarray(w, dtype=np.float64)
         if w.shape[0] != X.shape[0]:
             raise DimensionMismatch("weights length != rows")
+        if not (np.isfinite(w).all() and (w >= 0).all() and w.any()):
+            raise InvalidWeights("weights must be finite, non-negative and not all zero")
     return X, y, w
+
+
+def _boost(X, p: GbtParams, margin, grad_hess) -> list[list[Tree]]:
+    """Each round, grow one tree per column of the (n, K) ``margin`` from
+    ``grad_hess(margin)``'s (n, K) gradients and hessians, and add its scaled
+    predictions to that column in place. Keep ``margin`` C-contiguous: from
+    K = 8 on, softmax row sums round differently in another layout."""
+    XT = np.ascontiguousarray(X.T)
+    order = _sort_columns(XT)
+    trees = []
+    for t in range(p.num_rounds):
+        g, h = (np.ascontiguousarray(a.T) for a in grad_hess(margin))
+        rows = _subsample_rows(X.shape[0], p, t)
+        group = []
+        for k in range(margin.shape[1]):
+            tree = _build_tree(XT, g[k], h[k], _tree_block(order, rows), p)
+            group.append(tree)
+            margin[:, k] += p.learning_rate * tree.predict(X)
+        trees.append(group)
+    return trees
 
 
 def train_binary(X, y, w, p: GbtParams) -> GbtModel:
@@ -413,16 +425,9 @@ def train_binary(X, y, w, p: GbtParams) -> GbtModel:
     prior = min(max(pos / tot, 1e-12), 1 - 1e-12)
     base = float(np.log(prior / (1.0 - prior)))
 
-    XT = np.ascontiguousarray(X.T)
-    order = _sort_columns(XT)
-    margin = np.full(X.shape[0], base, dtype=np.float64)
-    trees: list[list[Tree]] = []
-    for t in range(p.num_rounds):
-        g, h = logistic_grad_hess(margin, y, w)
-        rows = _subsample_rows(X.shape[0], p, t)
-        tree = _build_tree(XT, g, h, _tree_block(order, rows), p)
-        trees.append([tree])
-        margin += p.learning_rate * tree.predict(X)
+    margin = np.full((X.shape[0], 1), base, dtype=np.float64)
+    y, w = y[:, None], w[:, None]
+    trees = _boost(X, p, margin, lambda m: logistic_grad_hess(m, y, w))
     return GbtModel("binary_logistic", 1, base, trees, p, X.shape[1])
 
 
@@ -434,19 +439,8 @@ def train_multiclass(X, y, w, p: GbtParams) -> GbtModel:
         raise SingleClassInput("multiclass training needs >= 2 classes")
     n_classes = int(classes.max()) + 1
 
-    XT = np.ascontiguousarray(X.T)
-    order = _sort_columns(XT)
     margin = np.zeros((X.shape[0], n_classes), dtype=np.float64)
-    trees: list[list[Tree]] = []
-    for t in range(p.num_rounds):
-        g, h = (np.ascontiguousarray(a.T) for a in softmax_grad_hess(margin, y, w))
-        rows = _subsample_rows(X.shape[0], p, t)
-        group = []
-        for k in range(n_classes):
-            tree = _build_tree(XT, g[k], h[k], _tree_block(order, rows), p)
-            group.append(tree)
-            margin[:, k] += p.learning_rate * tree.predict(X)
-        trees.append(group)
+    trees = _boost(X, p, margin, lambda m: softmax_grad_hess(m, y, w))
     return GbtModel("multiclass_softmax", n_classes, 0.0, trees, p, X.shape[1])
 
 

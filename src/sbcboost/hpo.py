@@ -12,7 +12,7 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -322,7 +322,7 @@ def phgs_cascade(
     weights_mode: str = "none",
     policy: casc.LastStagePolicy = casc.LastStagePolicy(),
     base_params: GbtParams = GbtParams(),
-    thresholds: float = casc.DEFAULT_THRESHOLD,
+    threshold: float = casc.DEFAULT_THRESHOLD,
 ) -> tuple[casc.SbcModel, list[HpoResult]]:
     """Per-stage halving search where stage i's grid is the previous stage's
     effective grid pruned around its best parameters.
@@ -351,5 +351,5 @@ def phgs_cascade(
         if view.stage < o.n - 1:
             current_grid = prune_grid(current_grid, result.best_params)
 
-    model = casc.train_cascade(train, o, best_per_stage, weights_mode, policy, thresholds)
+    model = casc.train_cascade(train, o, best_per_stage, weights_mode, policy, threshold)
     return model, results

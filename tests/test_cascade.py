@@ -1,9 +1,9 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from sbcboost import cascade as casc
 from sbcboost.cascade import (
     ClassOrdering,
     LastStagePolicy,
@@ -173,6 +173,20 @@ class TestTrainCascade:
         o = order_classes(class_frequencies(d))
         with pytest.raises(ValueError):
             train_cascade(d, o, [PARAMS, PARAMS])
+
+    def test_thresholds_checked(self):
+        d = blob_dataset([50, 30, 10], seed=7)
+        o = order_classes(class_frequencies(d))
+        m = train_cascade(d, o, PARAMS, threshold=0.7)
+        assert m.thresholds == [0.7] * 3
+        for bad in (0.0, 1.0, float("nan")):
+            with pytest.raises(ValueError, match="thresholds"):
+                train_cascade(d, o, PARAMS, threshold=bad)
+        for thresholds in ([0.5, 0.5], [0.5] * 4):
+            with pytest.raises(ValueError, match="thresholds"):
+                replace(m, thresholds=thresholds)
+        with pytest.raises(ValueError, match="stages"):
+            replace(m, stages=m.stages[:2])
 
     def test_determinism(self):
         d = blob_dataset([200, 60, 12], seed=8)

@@ -1,5 +1,4 @@
 import json
-import os
 
 import numpy as np
 import pytest
@@ -7,8 +6,40 @@ import pytest
 from sbcboost import cli
 from sbcboost import data as ds
 from sbcboost.bundle import ModelBundle
+from sbcboost.errors import BundleError
 
 from conftest import blob_dataset
+
+
+def _tree(**changes):
+    """A one-split tree on feature 0, as a bundle stores it."""
+    tree = {"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0], "left": [1, -1, -1],
+            "right": [2, -1, -1], "default_left": [True, True, True],
+            "value": [0.0, 0.1, -0.1], "is_leaf": [False, True, True]}
+    return dict(tree, **changes)
+
+
+def _gbt_payload(objective, trees):
+    return {"format_version": 1, "objective": objective,
+            "n_classes": 1 if objective == "binary_logistic" else 2, "base_score": 0.0,
+            "n_features": 2, "params": {}, "trees": trees}
+
+
+def _bundle_text(kind="mcc", tree=None, **changes):
+    """A hand-written bundle over two features and two classes: for mcc one
+    round of two trees, for sbc two one-tree stages. ``changes`` replace
+    payload keys."""
+    tree = tree or _tree()
+    if kind == "mcc":
+        payload = _gbt_payload("multiclass_softmax", [[tree, tree]])
+    else:
+        stage = _gbt_payload("binary_logistic", [[tree]])
+        payload = {"format_version": 1, "class_at": [0, 1], "thresholds": [0.5, 0.5],
+                   "last_stage_policy": {}, "metadata": [], "class_names": ["a", "b"],
+                   "n_features": 2, "stages": [stage, stage]}
+    payload.update(changes)
+    return json.dumps({"bundle_version": 1, "kind": kind, "payload": payload,
+                       "fingerprint": {"n_features": 2, "class_names": ["a", "b"]}})
 
 
 @pytest.fixture
@@ -363,7 +394,25 @@ class TestBundle:
         '{"bundle_version": 1, "kind": "xgb", "payload": {}, "fingerprint": {}}',
         '{"bundle_version": 1, "kind": "mcc", "payload": {"format_version": 1}, '
         '"fingerprint": {}}',
-    ], ids=["version", "not_json", "no_kind", "no_payload", "unknown_kind", "bad_payload"])
+        _bundle_text(tree=_tree(value=[0.0, 0.1])),
+        _bundle_text(tree={key: [] for key in _tree()}),
+        # node 2 points back at leaf 1: no cycle, but not a preorder tree
+        _bundle_text(tree=_tree(feature=[0, -1, 0], left=[1, -1, 1], right=[2, -1, 1],
+                                is_leaf=[False, True, False])),
+        _bundle_text(tree=_tree(right=[9, -1, -1])),
+        _bundle_text(tree=_tree(right=[-1, -1, -1])),
+        _bundle_text(tree=_tree(feature=[7, -1, -1])),
+        _bundle_text(tree=_tree(feature=[10**30, -1, -1])),
+        _bundle_text(tree=_tree(is_leaf=[True, True, True])),
+        _bundle_text(objective="softmax"),
+        _bundle_text(trees=[[_tree()]]),
+        _bundle_text("sbc", thresholds=[0.5, 1.5]),
+        _bundle_text("sbc", thresholds=[0.5]),
+        _bundle_text("sbc", stages=[_gbt_payload("multiclass_softmax", [[_tree(), _tree()]])] * 2),
+    ], ids=["version", "not_json", "no_kind", "no_payload", "unknown_kind", "bad_payload",
+            "tree_lengths", "empty_tree", "child_before_parent", "child_out_of_range",
+            "one_child", "feature_range", "huge_index", "is_leaf", "objective", "group_size",
+            "threshold_range", "threshold_count", "multiclass_stage"])
     def test_bad_bundle_exits_5(self, tmp_path, capsys, text):
         path = tmp_path / "bundle.json"
         path.write_text(text)
@@ -372,6 +421,23 @@ class TestBundle:
         rc = cli.main(["predict", "--bundle", str(path), "--input", str(rows)])
         assert rc == cli.EXIT_EVAL
         assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["mcc", "sbc"])
+    def test_hand_written_bundle_predicts(self, tmp_path, capsys, kind):
+        path = tmp_path / "bundle.json"
+        path.write_text(_bundle_text(kind))
+        rows = tmp_path / "rows.csv"
+        rows.write_text("0.0,2.0\n1.0,2.0\n")
+        rc = cli.main(["predict", "--bundle", str(path), "--input", str(rows)])
+        assert rc == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 2
+
+    def test_cyclic_tree_fails_on_load(self, tmp_path):
+        # the root is its own child: predict would walk it forever
+        path = tmp_path / "bundle.json"
+        path.write_text(_bundle_text(tree=_tree(left=[0, -1, -1], right=[0, -1, -1])))
+        with pytest.raises(BundleError, match="child"):
+            ModelBundle.load(str(path))
 
     def test_failed_save_keeps_old_bundle(self, prepared, monkeypatch):
         tmp_path, _, cfg_path = prepared

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sbcboost import gbt
-from sbcboost.errors import DimensionMismatch, EmptyData, SingleClassInput
+from sbcboost.errors import DimensionMismatch, EmptyData, InvalidWeights, SingleClassInput
 from sbcboost.gbt import (
     GbtModel,
     GbtParams,
@@ -64,15 +64,23 @@ def reference_best_split_for_feature(values, g, h, l2_lambda, min_child_weight, 
 
 
 def reference_build_tree(X, g, h, rows, params: GbtParams) -> Tree:
-    tree = Tree()
+    tree = {name: [] for name in Tree.__slots__}  # the Tree's arrays, as lists
     lam = params.l2_lambda
     mcw = params.min_child_weight
+
+    def add_node(feature, threshold, default_left, value):
+        for name, x in zip(Tree.__slots__, (feature, threshold, -1, -1, default_left, value)):
+            tree[name].append(x)
+        return len(tree["value"]) - 1
+
+    def add_leaf(value):
+        return add_node(-1, 0.0, True, float(value))
 
     def grow(rows, depth):
         G = g[rows].sum()
         H = h[rows].sum()
         if depth >= params.max_depth or rows.size < 2:
-            return tree.add_leaf(-G / (H + lam))
+            return add_leaf(-G / (H + lam))
         parent_score = G**2 / (H + lam)
         best = None
         for f in range(X.shape[1]):
@@ -84,18 +92,18 @@ def reference_build_tree(X, g, h, rows, params: GbtParams) -> Tree:
             if best is None or gain > best[0]:
                 best = (gain, f, thr, dl)
         if best is None or best[0] <= gbt._GAIN_EPS:
-            return tree.add_leaf(-G / (H + lam))
+            return add_leaf(-G / (H + lam))
         gain, f, thr, dl = best
-        node = tree.add_split(f, thr, dl)
+        node = add_node(f, thr, dl, 0.0)
         v = X[rows, f]
         miss = np.isnan(v)
         go_left = np.where(miss, dl, v < thr)
-        tree.left[node] = grow(rows[go_left], depth + 1)
-        tree.right[node] = grow(rows[~go_left], depth + 1)
+        tree["left"][node] = grow(rows[go_left], depth + 1)
+        tree["right"][node] = grow(rows[~go_left], depth + 1)
         return node
 
     grow(rows, 0)
-    return tree
+    return Tree(**tree)
 
 
 def reference_train_binary(X, y, w, p: GbtParams) -> GbtModel:
@@ -220,8 +228,8 @@ class TestBinary:
         b = train_binary(X, y, w, p)
         # identical structure; leaf values agree up to summation-order ulps
         for ga, gb in zip(a.trees, b.trees):
-            assert ga[0].feature == gb[0].feature
-            assert ga[0].threshold == gb[0].threshold
+            assert np.array_equal(ga[0].feature, gb[0].feature)
+            assert np.array_equal(ga[0].threshold, gb[0].threshold)
             assert np.allclose(ga[0].value, gb[0].value, atol=1e-12)
 
     def test_base_score_is_weighted_prior(self):
@@ -229,6 +237,26 @@ class TestBinary:
         m = train_binary(X, y, None, GbtParams(num_rounds=1, seed=0))
         prior = y.mean()
         assert m.base_score == pytest.approx(np.log(prior / (1 - prior)))
+
+
+class TestWeights:
+    @pytest.mark.parametrize("w", [
+        [1.0, np.nan, 1.0, 1.0],
+        [1.0, np.inf, 1.0, 1.0],
+        [1.0, -1.0, 1.0, 1.0],
+        [0.0, 0.0, 0.0, 0.0],
+    ], ids=["nan", "inf", "negative", "all_zero"])
+    @pytest.mark.parametrize("train", [train_binary, train_multiclass])
+    def test_bad_weights_rejected(self, train, w):
+        X = np.arange(4.0).reshape(-1, 1)
+        with pytest.raises(InvalidWeights):
+            train(X, np.array([0, 1, 0, 1]), np.array(w), GbtParams(num_rounds=1))
+
+    def test_some_zero_weights_train(self):
+        X = np.arange(4.0).reshape(-1, 1)
+        m = train_binary(X, np.array([0, 1, 0, 1]), np.array([1.0, 1.0, 0.0, 0.0]),
+                         GbtParams(num_rounds=1))
+        assert m.base_score == 0.0
 
 
 class TestMulticlass:
@@ -330,10 +358,10 @@ def gbt_params(draw):
 
 
 @st.composite
-def training_inputs(draw):
+def training_inputs(draw, max_label=3):
     n = draw(st.integers(1, 40))
     X = draw(feature_matrix(n))
-    y = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    y = np.array(draw(st.lists(st.integers(0, max_label), min_size=n, max_size=n)))
     w = draw(st.none() | st.lists(st.floats(0.0, 5.0), min_size=n, max_size=n))
     return X, y, None if w is None else np.array(w), draw(gbt_params())
 
@@ -360,8 +388,10 @@ class TestPresortDifferential:
             assert _fit_json(train_binary, X, y, w, p) == \
                 _fit_json(reference_train_binary, X, y, w, p)
 
+    # up to 12 classes: from 8 on, softmax row sums round differently when
+    # the margin is not C-contiguous
     @settings(max_examples=200, deadline=None)
-    @given(training_inputs())
+    @given(training_inputs(max_label=11))
     def test_train_multiclass(self, case):
         X, y, w, p = case
         with np.errstate(all="ignore"):

@@ -1,4 +1,3 @@
-import math
 import time
 
 import numpy as np
@@ -276,7 +275,7 @@ def reference_grid_search(grid, X, y, cv, objective="binary", weights_mode="none
 
 def reference_per_stage_search(train, o, grid, cv, mode, hc=None, weights_mode="none",
                                policy=LastStagePolicy(), base_params=GbtParams(),
-                               thresholds=casc.DEFAULT_THRESHOLD):
+                               threshold=casc.DEFAULT_THRESHOLD):
     if mode not in ("gs", "hgs"):
         raise ValueError(f"mode must be gs or hgs, got {mode!r}")
     views = casc.stage_views(train, o, policy)
@@ -299,7 +298,7 @@ def reference_per_stage_search(train, o, grid, cv, mode, hc=None, weights_mode="
         results.append(result)
         best_per_stage.append(result.best_params)
 
-    model = casc.train_cascade(train, o, best_per_stage, weights_mode, policy, thresholds)
+    model = casc.train_cascade(train, o, best_per_stage, weights_mode, policy, threshold)
     return model, results
 
 

@@ -1,9 +1,6 @@
-import itertools
-
 import numpy as np
 import pytest
 
-from sbcboost import metrics
 from sbcboost.errors import LabelOutOfRange, LengthMismatch
 from sbcboost.metrics import (
     UNKNOWN,
