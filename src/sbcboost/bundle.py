@@ -11,7 +11,7 @@ import numpy as np
 
 from .cascade import SbcModel
 from .data import Dataset
-from .errors import BundleError, FingerprintMismatch
+from .errors import BundleError
 from .gbt import GbtModel
 
 BUNDLE_VERSION = 1
@@ -85,13 +85,17 @@ class ModelBundle:
             model = _PAYLOAD_TYPES[kind].from_dict(doc["payload"])
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise BundleError(f"{path}: bad {kind} payload: {exc!r}") from exc
-        return cls(kind, model, doc.get("config", {}), doc["fingerprint"])
-
-    def check_schema(self, d: Dataset) -> None:
-        """Fail fast if a dataset has a feature count this bundle's model
-        can't consume; data.align_to checks the class names."""
-        if d.n_features != self.fingerprint["n_features"]:
-            raise FingerprintMismatch(
-                f"bundle expects {self.fingerprint['n_features']} features, "
-                f"dataset has {d.n_features}"
-            )
+        fp = doc["fingerprint"]
+        if not isinstance(fp, dict):
+            raise BundleError(f"{path}: fingerprint is not an object")
+        if type(fp.get("n_features")) is not int or fp["n_features"] != model.n_features:
+            raise BundleError(f"{path}: fingerprint n_features {fp.get('n_features')!r} "
+                              f"does not match the model's {model.n_features}")
+        # every class id the model can output needs a name
+        n_ids = model.n_classes if kind == "mcc" else max(model.ordering.class_at, default=-1) + 1
+        names = fp.get("class_names")
+        if not (isinstance(names, list) and all(isinstance(c, str) for c in names)
+                and len(names) >= n_ids):
+            raise BundleError(f"{path}: fingerprint class_names must list a name "
+                              f"for each of the model's {n_ids} classes")
+        return cls(kind, model, doc.get("config", {}), fp)

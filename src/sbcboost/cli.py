@@ -103,28 +103,12 @@ def _checked_grid(grid: hpo.HpGrid) -> hpo.HpGrid:
     return grid
 
 
-def _params_from_cfg(cfg: dict) -> GbtParams:
-    return _from_section(cfg, "params", lambda s: GbtParams(**s))
-
-
 def _grid_from_cfg(cfg: dict) -> hpo.HpGrid:
     if "grid_file" in cfg:
         return _from_section(cfg, "grid_file", lambda p: _checked_grid(hpo.HpGrid.from_file(p)))
     return _from_section(
         cfg, "grid", lambda m: _checked_grid(hpo.HpGrid.from_mapping(m)), DEFAULT_GRID
     )
-
-
-def _cv_from_cfg(cfg: dict) -> hpo.CvConfig:
-    return _from_section(cfg, "cv", lambda s: hpo.CvConfig(**s))
-
-
-def _halving_from_cfg(cfg: dict) -> hpo.HalvingConfig:
-    return _from_section(cfg, "halving", lambda s: hpo.HalvingConfig(**s))
-
-
-def _policy_from_cfg(cfg: dict) -> casc.LastStagePolicy:
-    return _from_section(cfg, "last_stage", lambda s: casc.LastStagePolicy(**s))
 
 
 def _search_space(cfg: dict, hpo_mode: str, n_rows: int) -> tuple[hpo.HpGrid, hpo.HalvingConfig]:
@@ -136,11 +120,23 @@ def _search_space(cfg: dict, hpo_mode: str, n_rows: int) -> tuple[hpo.HpGrid, hp
         return hpo.HpGrid(grid.values, {}), hpo.HalvingConfig(min_resources=n_rows)
     if hpo_mode == "hgs":
         grid = hpo.HpGrid(grid.values, {})
-    return grid, _halving_from_cfg(cfg)
+    return grid, _from_section(cfg, "halving", lambda s: hpo.HalvingConfig(**s))
 
 
 def _load_train(cfg: dict) -> ds.Dataset:
     return ds.load_csv(cfg["train_csv"], cfg.get("label_column", "label"))
+
+
+def _load_test(path: str, label_column: str, n_features: int,
+               class_names: list[str]) -> ds.Dataset:
+    """A labelled test file with the training data's feature count, its
+    labels re-encoded to the training class ids."""
+    test = ds.load_csv(path, label_column)
+    if test.n_features != n_features:
+        raise FingerprintMismatch(
+            f"model expects {n_features} features, {path} has {test.n_features}"
+        )
+    return ds.align_to(test, class_names)
 
 
 def _train_one(cfg: dict, train: ds.Dataset):
@@ -149,8 +145,8 @@ def _train_one(cfg: dict, train: ds.Dataset):
     method = cfg.get("method", "mcc")
     hpo_mode = cfg.get("hpo", "fixed")
     weights = cfg.get("weights", "none")
-    base_params = _params_from_cfg(cfg)
-    cv = _cv_from_cfg(cfg)
+    base_params = _from_section(cfg, "params", lambda s: GbtParams(**s))
+    cv = _from_section(cfg, "cv", lambda s: hpo.CvConfig(**s))
     threshold = float(cfg.get("threshold", casc.DEFAULT_THRESHOLD))
     timings = {"hpo_s": 0.0, "train_s": 0.0}
     if hpo_mode != "fixed":
@@ -174,7 +170,7 @@ def _train_one(cfg: dict, train: ds.Dataset):
 
     # sbc
     ordering = casc.order_classes(ds.class_frequencies(train))
-    policy = _policy_from_cfg(cfg)
+    policy = _from_section(cfg, "last_stage", lambda s: casc.LastStagePolicy(**s))
     if hpo_mode == "fixed":
         t0 = time.perf_counter()
         model = casc.train_cascade(train, ordering, base_params, weights, policy, threshold)
@@ -274,10 +270,8 @@ def cmd_train(args) -> int:
         r.export_trials(os.path.join(out_dir, f"hpo_trials_stage{i}.jsonl"))
 
     if cfg.get("test_csv"):
-        test = ds.align_to(
-            ds.load_csv(cfg["test_csv"], cfg.get("label_column", "label")),
-            bundle.class_names,
-        )
+        test = _load_test(cfg["test_csv"], cfg.get("label_column", "label"),
+                          train.n_features, bundle.class_names)
         summary = _evaluate_bundle(
             bundle, test, cfg.get("unknown_action", "assign_last_class"), timings, out_dir
         )
@@ -294,9 +288,8 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     bundle = ModelBundle.load(args.bundle)
-    test = ds.load_csv(args.test, args.label_column)
-    bundle.check_schema(test)
-    test = ds.align_to(test, bundle.class_names)
+    test = _load_test(args.test, args.label_column, bundle.fingerprint["n_features"],
+                      bundle.class_names)
     summary = _evaluate_bundle(bundle, test, args.unknown_action, {}, args.out)
     print(metrics.format_summary(summary, bundle.class_names), end="")
     return 0
@@ -364,9 +357,8 @@ def cmd_benchmark(args) -> int:
         raise ConfigError("benchmark needs --methods")
 
     train = _load_train(cfg)
-    test = ds.align_to(
-        ds.load_csv(cfg["test_csv"], cfg.get("label_column", "label")), train.class_names
-    )
+    test = _load_test(cfg["test_csv"], cfg.get("label_column", "label"),
+                      train.n_features, train.class_names)
     freqs = ds.class_frequencies(train)
     ordering = casc.order_classes(freqs)
     test_counts = np.bincount(test.labels, minlength=train.n_classes)

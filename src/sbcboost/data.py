@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -57,14 +57,6 @@ class Dataset:
     def n_classes(self) -> int:
         return len(self.class_names)
 
-    def subset(self, row_indices: np.ndarray) -> "Dataset":
-        return Dataset(
-            self.features[row_indices],
-            self.labels[row_indices],
-            list(self.class_names),
-            list(self.feature_names),
-        )
-
 
 @dataclass(frozen=True)
 class CleaningPolicy:
@@ -105,18 +97,7 @@ class CleaningReport:
     cells_clamped_negative: int = 0
 
     def as_text(self) -> str:
-        pairs = [
-            ("rows_in", self.rows_in),
-            ("rows_out", self.rows_out),
-            ("duplicates_dropped", self.duplicates_dropped),
-            ("rows_dropped_missing", self.rows_dropped_missing),
-            ("cells_imputed", self.cells_imputed),
-            ("rows_dropped_infinite", self.rows_dropped_infinite),
-            ("cells_clamped_infinite", self.cells_clamped_infinite),
-            ("rows_dropped_negative", self.rows_dropped_negative),
-            ("cells_clamped_negative", self.cells_clamped_negative),
-        ]
-        return "\n".join(f"{k}: {v}" for k, v in pairs) + "\n"
+        return "".join(f"{f.name}: {getattr(self, f.name)}\n" for f in fields(self))
 
 
 @dataclass(frozen=True)
@@ -333,7 +314,8 @@ def stratified_split(d: Dataset, s: SplitSpec) -> tuple[Dataset, Dataset]:
 
     train_idx = np.sort(np.concatenate(train_parts))
     test_idx = np.sort(np.concatenate(test_parts)) if any(p.size for p in test_parts) else np.array([], dtype=int)
-    return d.subset(train_idx), d.subset(test_idx)
+    return tuple(Dataset(d.features[i], d.labels[i], list(d.class_names), list(d.feature_names))
+                 for i in (train_idx, test_idx))
 
 
 def align_to(d: Dataset, class_names: list[str]) -> Dataset:

@@ -75,13 +75,6 @@ class Tree:
             active = self.left[node] >= 0
         return self.value[node]
 
-    def max_path_depth(self) -> int:
-        def depth(i):
-            if self.left[i] < 0:
-                return 0
-            return 1 + max(depth(self.left[i]), depth(self.right[i]))
-        return depth(0)
-
     def to_dict(self) -> dict:
         return {
             "feature": self.feature.tolist(),
@@ -269,7 +262,11 @@ def _best_split_for_feature(v, gv, hv, gm, hm, has_missing, l2_lambda, min_child
         # strict ">" keeps default_left on ties (no-missing nodes are symmetric)
         if best is None or gain > best[0]:
             c = cut[i]
-            best = (float(gain), float(0.5 * (v[c] + v[c + 1])), add_left)
+            lo, hi = float(v[c]), float(v[c + 1])  # Python floats overflow silently
+            # the midpoint leaves (lo, hi] on an overflow to inf, a -inf lo or
+            # adjacent doubles rounding down; hi still sends lo's rows left
+            thr = 0.5 * (lo + hi)
+            best = (float(gain), thr if lo < thr <= hi else hi, add_left)
     return best
 
 
@@ -353,8 +350,6 @@ def _build_tree(XT, g, h, block, params: GbtParams) -> Tree:
             mask = goes_left[lines]
             n_left = int(np.count_nonzero(go_left))
             left, right = lines[mask], lines[~mask]
-            # a child can be empty: the midpoint of two adjacent doubles
-            # may round down to the lower one, sending its rows right
             lines[:, :n_left] = left.reshape(len(lines), n_left)
             lines[:, n_left:] = right.reshape(len(lines), e - s - n_left)
             stack.append((s + n_left, e, depth + 1, node, False))
@@ -442,14 +437,3 @@ def train_multiclass(X, y, w, p: GbtParams) -> GbtModel:
     margin = np.zeros((X.shape[0], n_classes), dtype=np.float64)
     trees = _boost(X, p, margin, lambda m: softmax_grad_hess(m, y, w))
     return GbtModel("multiclass_softmax", n_classes, 0.0, trees, p, X.shape[1])
-
-
-def training_loss(m: GbtModel, X, y, w=None) -> float:
-    """Weighted training loss of the full ensemble (used by invariant tests)."""
-    X = np.asarray(X, dtype=np.float64)
-    if w is None:
-        w = np.ones(X.shape[0])
-    margin = m.predict_margin(X)
-    if m.objective == "binary_logistic":
-        return logistic_loss(margin, y, w)
-    return softmax_loss(margin, y, w)

@@ -181,10 +181,6 @@ def cross_validate(
     return float(np.mean(scores))
 
 
-def _params_from_combo(base: GbtParams, combo: dict) -> GbtParams:
-    return replace(base, **combo)
-
-
 def grid_search(
     grid: HpGrid,
     X: np.ndarray,
@@ -263,7 +259,7 @@ def halving_grid_search(
         sub = _stratified_subsample(y, resources, cv.folds, rng)
         scores = []
         for ci in survivors:
-            params = _params_from_combo(base_params, combos[ci])
+            params = replace(base_params, **combos[ci])
             t0 = time.perf_counter()
             score = cross_validate(X[sub], y[sub], params, cv, objective, weights_mode)
             trials.append(Trial(combos[ci], int(resources), score, time.perf_counter() - t0))
@@ -276,16 +272,16 @@ def halving_grid_search(
             survivors = sorted(survivors[j] for j in order[:keep])
 
     winner = max(survivors, key=lambda ci: (last_scores[ci], -ci))
+    best_params = replace(base_params, **combos[winner])
     best_score = last_scores[winner]
     if schedule[-1][1] < y.size:
         # single survivor found before the budget reached full data:
         # re-score it there so best_score is comparable with grid_search
-        params = _params_from_combo(base_params, combos[winner])
         t0 = time.perf_counter()
-        best_score = cross_validate(X, y, params, cv, objective, weights_mode)
+        best_score = cross_validate(X, y, best_params, cv, objective, weights_mode)
         trials.append(Trial(combos[winner], int(y.size), best_score, time.perf_counter() - t0))
     return HpoResult(
-        best_params=_params_from_combo(base_params, combos[winner]),
+        best_params=best_params,
         best_score=best_score,
         trials=trials,
         wall_clock=time.perf_counter() - t_start,

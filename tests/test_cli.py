@@ -25,10 +25,10 @@ def _gbt_payload(objective, trees):
             "n_features": 2, "params": {}, "trees": trees}
 
 
-def _bundle_text(kind="mcc", tree=None, **changes):
+def _bundle_text(kind="mcc", tree=None, fingerprint=None, **changes):
     """A hand-written bundle over two features and two classes: for mcc one
     round of two trees, for sbc two one-tree stages. ``changes`` replace
-    payload keys."""
+    payload keys; ``fingerprint`` replaces the fingerprint."""
     tree = tree or _tree()
     if kind == "mcc":
         payload = _gbt_payload("multiclass_softmax", [[tree, tree]])
@@ -38,8 +38,10 @@ def _bundle_text(kind="mcc", tree=None, **changes):
                    "last_stage_policy": {}, "metadata": [], "class_names": ["a", "b"],
                    "n_features": 2, "stages": [stage, stage]}
     payload.update(changes)
+    if fingerprint is None:
+        fingerprint = {"n_features": 2, "class_names": ["a", "b"]}
     return json.dumps({"bundle_version": 1, "kind": kind, "payload": payload,
-                       "fingerprint": {"n_features": 2, "class_names": ["a", "b"]}})
+                       "fingerprint": fingerprint})
 
 
 @pytest.fixture
@@ -221,6 +223,30 @@ class TestUnseenClass:
         p.write_text(json.dumps(dict(cfg, test_csv=_with_unseen_class(tmp_path, cfg))))
         self._check(cli.main(["benchmark", "--config", str(p), "--methods", "mcc+fixed"]),
                     capsys)
+
+
+class TestTestFeatureCount:
+    """A test file whose feature count differs from the training data's."""
+
+    @pytest.fixture
+    def cfg_path(self, prepared):
+        tmp_path, cfg, _ = prepared
+        wide = tmp_path / "wide.csv"
+        ds.export_csv(blob_dataset([10, 10, 10], n_features=3, seed=0), str(wide))
+        p = tmp_path / "wide.json"
+        p.write_text(json.dumps(dict(cfg, test_csv=str(wide))))
+        return p
+
+    def test_train(self, cfg_path, capsys):
+        assert cli.main(["train", "--config", str(cfg_path)]) == cli.EXIT_EVAL
+        assert "wide.csv has 3" in capsys.readouterr().err
+
+    def test_benchmark_fails_before_training(self, cfg_path, capsys):
+        rc = cli.main(["benchmark", "--config", str(cfg_path), "--methods", "mcc+fixed,sbc+fixed"])
+        assert rc == cli.EXIT_EVAL
+        captured = capsys.readouterr()
+        assert "wide.csv has 3" in captured.err
+        assert captured.out == ""
 
 
 class TestEvaluatePredict:
@@ -409,10 +435,14 @@ class TestBundle:
         _bundle_text("sbc", thresholds=[0.5, 1.5]),
         _bundle_text("sbc", thresholds=[0.5]),
         _bundle_text("sbc", stages=[_gbt_payload("multiclass_softmax", [[_tree(), _tree()]])] * 2),
+        _bundle_text(fingerprint={}),
+        _bundle_text(fingerprint={"n_features": 3, "class_names": ["a", "b"]}),
+        _bundle_text("sbc", fingerprint={"n_features": 2, "class_names": ["a"]}),
     ], ids=["version", "not_json", "no_kind", "no_payload", "unknown_kind", "bad_payload",
             "tree_lengths", "empty_tree", "child_before_parent", "child_out_of_range",
             "one_child", "feature_range", "huge_index", "is_leaf", "objective", "group_size",
-            "threshold_range", "threshold_count", "multiclass_stage"])
+            "threshold_range", "threshold_count", "multiclass_stage", "empty_fingerprint",
+            "fingerprint_n_features", "fingerprint_class_names"])
     def test_bad_bundle_exits_5(self, tmp_path, capsys, text):
         path = tmp_path / "bundle.json"
         path.write_text(text)

@@ -1,5 +1,6 @@
 import gc
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -12,13 +13,33 @@ from sbcboost.gbt import (
     GbtParams,
     Tree,
     logistic_grad_hess,
+    logistic_loss,
     softmax_grad_hess,
+    softmax_loss,
     train_binary,
     train_multiclass,
-    training_loss,
 )
 
 from conftest import gaussian_blobs
+
+
+def training_loss(m: GbtModel, X, y, w=None) -> float:
+    """Weighted training loss of the full ensemble."""
+    X = np.asarray(X, dtype=np.float64)
+    if w is None:
+        w = np.ones(X.shape[0])
+    margin = m.predict_margin(X)
+    if m.objective == "binary_logistic":
+        return logistic_loss(margin, y, w)
+    return softmax_loss(margin, y, w)
+
+
+def max_path_depth(tree: Tree) -> int:
+    def depth(i):
+        if tree.left[i] < 0:
+            return 0
+        return 1 + max(depth(tree.left[i]), depth(tree.right[i]))
+    return depth(0)
 
 
 # --- differential oracle: the learner as it was before columns were sorted
@@ -43,7 +64,11 @@ def reference_best_split_for_feature(values, g, h, l2_lambda, min_child_weight, 
     hl = np.cumsum(hv)[cut]
     g_tot = gv.sum() + gm
     h_tot = hv.sum() + hm
-    thresholds = 0.5 * (v[cut] + v[cut + 1])
+    lo, hi = v[cut], v[cut + 1]
+    with np.errstate(all="ignore"):
+        mid = 0.5 * (lo + hi)
+    # a midpoint outside (lo, hi] would send lo's rows right: use hi instead
+    thresholds = np.where((lo < mid) & (mid <= hi), mid, hi)
 
     best = None
     for add_left in (True, False):
@@ -215,7 +240,7 @@ class TestBinary:
         p = GbtParams(num_rounds=6, max_depth=3, min_child_weight=2.0, seed=1)
         m = train_binary(X, y, None, p)
         for group in m.trees:
-            assert group[0].max_path_depth() <= p.max_depth
+            assert max_path_depth(group[0]) <= p.max_depth
 
     def test_duplicate_row_equals_double_weight(self):
         X, y = gaussian_blobs([30, 30], scale=2.0, seed=13)
@@ -400,7 +425,8 @@ class TestPresortDifferential:
 
     @pytest.mark.parametrize("max_depth", [1, 2, 3])
     def test_split_with_empty_child(self, max_depth):
-        # the threshold rounds down to 0.0, so no non-missing row goes left
+        # the midpoint of 0.0 and 5e-324 rounds down to 0.0, so the threshold
+        # is 5e-324 and the 0.0 rows go left
         X = np.array([[np.nan], [0.0], [0.0], [5e-324], [np.nan], [0.0], [0.0], [0.0]])
         y = np.array([0, 0, 0, 0, 0, 0, 1, 0])
         for lam in (0.0, 1.0):
@@ -409,6 +435,18 @@ class TestPresortDifferential:
                 got = _fit_json(train_binary, X, y, None, p)
                 assert got == _fit_json(reference_train_binary, X, y, None, p)
             assert '"value": [' in got
+
+    @pytest.mark.parametrize("lo, hi", [(1e308, 1.7e308), (-np.inf, 0.0), (0.0, 5e-324)],
+                             ids=["overflow", "minus_inf", "adjacent"])
+    def test_threshold_inside_cut(self, lo, hi):
+        # 0.5 * (lo + hi) is not in (lo, hi]: inf, -inf and 0.0
+        X = np.array([[lo]] * 4 + [[hi]] * 4)
+        y = np.array([0] * 4 + [1] * 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = train_binary(X, y, None, GbtParams(num_rounds=3, max_depth=1))
+        assert m.trees[0][0].threshold[0] == hi
+        assert np.array_equal(m.predict_class(X), y)
 
     def test_tree_block_orders_ties_by_row(self):
         # small arrays sort stably under any numpy kind, so this one is large

@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -102,7 +103,7 @@ class TestGridSearch:
         best_score, best_combo = -1.0, None
         for combo in g.combinations():
             s = cross_validate(
-                X, y, hpo._params_from_combo(FAST, combo), cv, "multiclass"
+                X, y, replace(FAST, **combo), cv, "multiclass"
             )
             if s > best_score:
                 best_score, best_combo = s, combo
@@ -259,14 +260,14 @@ def reference_grid_search(grid, X, y, cv, objective="binary", weights_mode="none
     best = None  # (score, index)
     combos = grid.combinations()
     for i, combo in enumerate(combos):
-        params = hpo._params_from_combo(base_params, combo)
+        params = replace(base_params, **combo)
         t0 = time.perf_counter()
         score = cross_validate(X, y, params, cv, objective, weights_mode)
         trials.append(Trial(combo, int(y.size), score, time.perf_counter() - t0))
         if best is None or score > best[0]:
             best = (score, i)
     return HpoResult(
-        best_params=hpo._params_from_combo(base_params, combos[best[1]]),
+        best_params=replace(base_params, **combos[best[1]]),
         best_score=best[0],
         trials=trials,
         wall_clock=time.perf_counter() - t_start,
