@@ -104,6 +104,9 @@ class SbcModel:
             raise ValueError(f"thresholds must be in (0, 1), got {self.thresholds}")
         if any(s.objective != "binary_logistic" for s in self.stages):
             raise ValueError("every cascade stage must be a binary_logistic model")
+        ids = self.ordering.class_at
+        if min(ids, default=0) < 0 or len(set(ids)) < len(ids):
+            raise ValueError(f"class_at must hold distinct non-negative class ids, got {list(ids)}")
 
     def to_dict(self) -> dict:
         return {

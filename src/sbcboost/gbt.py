@@ -3,9 +3,9 @@
 Supports a binary-logistic head (cascade base classifier) and a
 multiclass-softmax head (baseline), boosted by one loop: the binary head is
 its one-column case. Split finding is exact greedy over
-columns sorted once per fit (the column-block layout of XGBoost); all
-randomness flows from the params seed, so training is reproducible
-bit-for-bit.
+columns sorted once per fit (the column-block layout of XGBoost), each node
+scoring its features as blocks in a few numpy calls; all randomness flows
+from the params seed, so training is reproducible bit-for-bit.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import numpy as np
 from .errors import DimensionMismatch, EmptyData, InvalidWeights, SingleClassInput
 
 _GAIN_EPS = 1e-12
+_BLOCK = 2**15  # (features x rows) cells _best_split scores at once
 
 
 @dataclass(frozen=True)
@@ -229,47 +230,6 @@ def softmax_loss(scores, y, w):
     return float(np.sum(np.asarray(w) * -np.log(np.clip(py, 1e-300, None))))
 
 
-def _best_split_for_feature(v, gv, hv, gm, hm, has_missing, l2_lambda, min_child_weight,
-                            parent_score):
-    """Scan one feature's non-missing values, sorted ascending with their g and
-    h; gm/hm sum the missing rows. Returns (gain, threshold, default_left).
-
-    Missing values are routed as a block to whichever side scores better.
-    """
-    cut = (v[:-1] < v[1:]).nonzero()[0]
-    if cut.size == 0:
-        return None
-    gl = gv.cumsum()[cut]
-    hl = hv.cumsum()[cut]
-    g_tot = gv.sum() + gm
-    h_tot = hv.sum() + hm
-
-    best = None
-    # With no missing rows, gm = hm = 0.0 and the False pass scores exactly as
-    # the True one, so it never wins the strict ">" below and is skipped.
-    # Adding 0.0 only turns -0.0 into 0.0, which no score below can see.
-    for add_left in (True, False) if has_missing else (True,):
-        GL, HL = (gl + gm, hl + hm) if add_left and has_missing else (gl, hl)
-        GR = g_tot - GL
-        HR = h_tot - HL
-        ok = (HL >= min_child_weight) & (HR >= min_child_weight)
-        if not ok.any():
-            continue
-        score = GL**2 / (HL + l2_lambda) + GR**2 / (HR + l2_lambda)
-        score[~ok] = -np.inf
-        i = int(score.argmax())  # argmax takes the first max: lowest threshold
-        gain = 0.5 * (score[i] - parent_score)
-        # strict ">" keeps default_left on ties (no-missing nodes are symmetric)
-        if best is None or gain > best[0]:
-            c = cut[i]
-            lo, hi = float(v[c]), float(v[c + 1])  # Python floats overflow silently
-            # the midpoint leaves (lo, hi] on an overflow to inf, a -inf lo or
-            # adjacent doubles rounding down; hi still sends lo's rows left
-            thr = 0.5 * (lo + hi)
-            best = (float(gain), thr if lo < thr <= hi else hi, add_left)
-    return best
-
-
 def _sort_columns(XT) -> np.ndarray:
     """Each feature's rows in ascending value order, NaNs last and ties in row
     order, as an (F, n) int32 array: the one sort of a fit."""
@@ -293,27 +253,88 @@ def _tree_block(order, rows) -> np.ndarray:
 
 def _best_split(XT, g, h, seg, lam, mcw, parent_score):
     """Best (gain, feature, threshold, default_left) of the node whose block
-    segment is ``seg``, or None."""
+    segment is ``seg``, or None.
+
+    Scores up to ``_BLOCK // m`` features at a time, each block in a few numpy
+    calls over its (features x m) sorted values, g and h. A cut lies between
+    two adjacent values that differ; NaNs sort last and compare false, so they
+    cut nothing, and their rows go as one group to whichever side scores
+    better. Ties keep the lowest feature, then default_left, then the lowest
+    threshold; a NaN gain, once first, is kept.
+    """
+    n_features, n = XT.shape
+    m = seg.shape[1]
+    k = max(1, _BLOCK // m)
     best = None
-    for f in range(XT.shape[0]):
-        order = seg[f]
-        v = XT[f].take(order)
-        n_ok = v.size
-        if np.isnan(v[-1]):  # NaNs sort last, in row order
-            n_ok -= int(np.count_nonzero(np.isnan(v)))
-        if n_ok < 2:
+    for a in range(0, n_features, k):
+        # the last line lists rows, not a feature; take() is far slower on
+        # int32 indices than on intp ones
+        lines = seg[a:min(a + k, n_features)].astype(np.intp)
+        kb = lines.shape[0]
+        V = XT.take(lines + np.arange(a * n, (a + kb) * n, n)[:, None])
+        G = g.take(lines)
+        H = h.take(lines)
+        is_cut = np.zeros((kb, m), dtype=bool)
+        np.less(V[:, :-1], V[:, 1:], out=is_cut[:, :-1])
+        cut = np.flatnonzero(is_cut)  # flat (line, position) of each cut's lower value
+        if cut.size == 0:
             continue
-        has_missing = n_ok < v.size
-        gm = g[order[n_ok:]].sum() if has_missing else 0.0
-        hm = h[order[n_ok:]].sum() if has_missing else 0.0
-        ok = order[:n_ok]
-        cand = _best_split_for_feature(v[:n_ok], g.take(ok), h.take(ok), gm, hm, has_missing,
-                                       lam, mcw, parent_score)
-        if cand is None:
+        bounds = np.searchsorted(cut, np.arange(kb + 1) * m)
+        count = np.diff(bounds)
+        cut_lines = np.flatnonzero(count)
+        starts = bounds[cut_lines]
+        gl = G.cumsum(axis=1).take(cut)
+        hl = H.cumsum(axis=1).take(cut)
+        g_tot = G.sum(axis=1)  # a C-contiguous row sums bit for bit as a 1-D array
+        h_tot = H.sum(axis=1)
+        missing = np.flatnonzero(np.isnan(V[:, -1]))
+        passes = [(gl, hl)]
+        if missing.size:
+            gm = np.zeros(kb)
+            hm = np.zeros(kb)
+            n_ok = m - np.count_nonzero(np.isnan(V[missing]), axis=1)
+            for j, n_j in zip(missing.tolist(), n_ok.tolist()):
+                gm[j] = G[j, n_j:].sum()
+                hm[j] = H[j, n_j:].sum()
+                g_tot[j] = G[j, :n_j].sum() + gm[j]
+                h_tot[j] = H[j, :n_j].sum() + hm[j]
+            passes.insert(0, (gl + np.repeat(gm, count), hl + np.repeat(hm, count)))
+        scores, gains = [], []
+        g_tot, h_tot = np.repeat(g_tot, count), np.repeat(h_tot, count)  # per cut
+        for GL, HL in passes:  # missing rows left, then right
+            GR = g_tot - GL
+            HR = h_tot - HL
+            ok = (HL >= mcw) & (HR >= mcw)
+            score = GL**2 / (HL + lam) + GR**2 / (HR + lam)
+            score[~ok] = -np.inf
+            scores.append(score)
+            # NaN if any score is, as argmax picks the first NaN; -inf if no
+            # cut leaves both children min_child_weight
+            high = np.maximum.reduceat(score, starts)
+            gains.append(np.where(high == -np.inf, -np.inf, 0.5 * (high - parent_score)))
+        gain = gains[0]
+        right = np.zeros(cut_lines.size, dtype=bool)
+        if len(passes) == 2:
+            # missing rows go right only for a strictly greater gain; a line
+            # with none scores the same twice
+            right = gains[1] > gain
+            gain = np.where(right, gains[1], gain)
+        # strict ">" in feature order: the first line's NaN gain is kept, and
+        # a later NaN replaces nothing
+        top = np.where(np.isnan(gain), -np.inf, gain)
+        j = int(top.argmax())
+        if best is None and np.isnan(gain[0]):
+            j = 0
+        elif not top[j] > (-np.inf if best is None else best[0]):
             continue
-        gain, thr, dl = cand
-        if best is None or gain > best[0]:  # strict: lowest feature index wins ties
-            best = (gain, f, thr, dl)
+        s, e = bounds[cut_lines[j]], bounds[cut_lines[j] + 1]
+        c = cut[s + int(scores[int(right[j])][s:e].argmax())]  # the first max: lowest threshold
+        lo, hi = float(V.flat[c]), float(V.flat[c + 1])  # Python floats overflow silently
+        # the midpoint leaves (lo, hi] on an overflow to inf, a -inf lo or
+        # adjacent doubles rounding down; hi still sends lo's rows left
+        thr = 0.5 * (lo + hi)
+        best = (float(gain[j]), a + int(cut_lines[j]), thr if lo < thr <= hi else hi,
+                not right[j])
     return best
 
 
@@ -338,7 +359,8 @@ def _build_tree(XT, g, h, block, params: GbtParams) -> Tree:
         if depth < params.max_depth and rows.size >= 2:
             best = _best_split(XT, g, h, seg, lam, mcw, G**2 / (H + lam))
         if best is None or best[0] <= _GAIN_EPS:
-            nodes.append((-1, 0.0, True, -G / (H + lam)))
+            # H + lam is 0 only with l2_lambda 0 and hessians that sum to 0
+            nodes.append((-1, 0.0, True, -G / (H + lam) if H + lam else 0.0))
         else:
             _, f, thr, dl = best
             nodes.append((f, thr, dl, 0.0))

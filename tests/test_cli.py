@@ -438,11 +438,14 @@ class TestBundle:
         _bundle_text(fingerprint={}),
         _bundle_text(fingerprint={"n_features": 3, "class_names": ["a", "b"]}),
         _bundle_text("sbc", fingerprint={"n_features": 2, "class_names": ["a"]}),
+        _bundle_text("sbc", class_at=[-1, 1]),
+        _bundle_text("sbc", class_at=[1, 1]),
     ], ids=["version", "not_json", "no_kind", "no_payload", "unknown_kind", "bad_payload",
             "tree_lengths", "empty_tree", "child_before_parent", "child_out_of_range",
             "one_child", "feature_range", "huge_index", "is_leaf", "objective", "group_size",
             "threshold_range", "threshold_count", "multiclass_stage", "empty_fingerprint",
-            "fingerprint_n_features", "fingerprint_class_names"])
+            "fingerprint_n_features", "fingerprint_class_names", "class_at_negative",
+            "class_at_repeated"])
     def test_bad_bundle_exits_5(self, tmp_path, capsys, text):
         path = tmp_path / "bundle.json"
         path.write_text(text)

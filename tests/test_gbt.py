@@ -1,10 +1,11 @@
 import gc
 import json
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sbcboost import gbt
 from sbcboost.errors import DimensionMismatch, EmptyData, InvalidWeights, SingleClassInput
@@ -98,14 +99,14 @@ def reference_build_tree(X, g, h, rows, params: GbtParams) -> Tree:
             tree[name].append(x)
         return len(tree["value"]) - 1
 
-    def add_leaf(value):
-        return add_node(-1, 0.0, True, float(value))
+    def add_leaf(G, H):
+        return add_node(-1, 0.0, True, float(-G / (H + lam) if H + lam else 0.0))
 
     def grow(rows, depth):
         G = g[rows].sum()
         H = h[rows].sum()
         if depth >= params.max_depth or rows.size < 2:
-            return add_leaf(-G / (H + lam))
+            return add_leaf(G, H)
         parent_score = G**2 / (H + lam)
         best = None
         for f in range(X.shape[1]):
@@ -117,7 +118,7 @@ def reference_build_tree(X, g, h, rows, params: GbtParams) -> Tree:
             if best is None or gain > best[0]:
                 best = (gain, f, thr, dl)
         if best is None or best[0] <= gbt._GAIN_EPS:
-            return add_leaf(-G / (H + lam))
+            return add_leaf(G, H)
         gain, f, thr, dl = best
         node = add_node(f, thr, dl, 0.0)
         v = X[rows, f]
@@ -129,6 +130,55 @@ def reference_build_tree(X, g, h, rows, params: GbtParams) -> Tree:
 
     grow(rows, 0)
     return Tree(**tree)
+
+
+# --- differential oracle: the split search as it was before a node's features
+# were scored as one block, one feature of the presorted block at a time ---
+
+def reference_best_split(XT, g, h, seg, lam, mcw, parent_score):
+    best = None
+    for f in range(XT.shape[0]):
+        order = seg[f]
+        v = XT[f].take(order)
+        n_ok = v.size
+        if np.isnan(v[-1]):  # NaNs sort last, in row order
+            n_ok -= int(np.count_nonzero(np.isnan(v)))
+        if n_ok < 2:
+            continue
+        has_missing = n_ok < v.size
+        gm = g[order[n_ok:]].sum() if has_missing else 0.0
+        hm = h[order[n_ok:]].sum() if has_missing else 0.0
+        v, gv, hv = v[:n_ok], g.take(order[:n_ok]), h.take(order[:n_ok])
+        cut = (v[:-1] < v[1:]).nonzero()[0]
+        if cut.size == 0:
+            continue
+        gl = gv.cumsum()[cut]
+        hl = hv.cumsum()[cut]
+        g_tot = gv.sum() + gm
+        h_tot = hv.sum() + hm
+        feature_best = None
+        for add_left in (True, False) if has_missing else (True,):
+            GL, HL = (gl + gm, hl + hm) if add_left and has_missing else (gl, hl)
+            GR = g_tot - GL
+            HR = h_tot - HL
+            ok = (HL >= mcw) & (HR >= mcw)
+            if not ok.any():
+                continue
+            score = GL**2 / (HL + lam) + GR**2 / (HR + lam)
+            score[~ok] = -np.inf
+            i = int(score.argmax())
+            gain = 0.5 * (score[i] - parent_score)
+            if feature_best is None or gain > feature_best[0]:
+                c = cut[i]
+                lo, hi = float(v[c]), float(v[c + 1])
+                thr = 0.5 * (lo + hi)
+                feature_best = (float(gain), thr if lo < thr <= hi else hi, add_left)
+        if feature_best is None:
+            continue
+        gain, thr, dl = feature_best
+        if best is None or gain > best[0]:
+            best = (gain, f, thr, dl)
+    return best
 
 
 def reference_train_binary(X, y, w, p: GbtParams) -> GbtModel:
@@ -277,6 +327,16 @@ class TestWeights:
         with pytest.raises(InvalidWeights):
             train(X, np.array([0, 1, 0, 1]), np.array(w), GbtParams(num_rounds=1))
 
+    def test_zero_hessian_leaf_is_zero(self):
+        # with l2_lambda 0, the leaf of the two zero-weight rows has H + lambda = 0
+        with np.errstate(all="ignore"):
+            m = train_binary([[0], [1], [2], [3]], [0, 1, 0, 1], [1, 1, 0, 0],
+                             GbtParams(num_rounds=1, max_depth=2, l2_lambda=0,
+                                       min_child_weight=0))
+        assert np.isfinite(m.trees[0][0].value).all()
+        # rows 2 and 3 reach that leaf, valued 0, from base score 0
+        assert m.predict_proba(np.arange(4.0).reshape(-1, 1))[2:].tolist() == [0.5, 0.5]
+
     def test_some_zero_weights_train(self):
         X = np.arange(4.0).reshape(-1, 1)
         m = train_binary(X, np.array([0, 1, 0, 1]), np.array([1.0, 1.0, 0.0, 0.0]),
@@ -352,12 +412,16 @@ class TestSerialization:
 
 
 @st.composite
-def feature_matrix(draw, n):
-    """Columns with heavy ties, constant and all-NaN columns, and NaN cells."""
+def feature_matrix(draw, n, max_features=4):
+    """Columns with heavy ties, constant and all-NaN columns, copies of an
+    earlier column (gains tied across features), and NaN cells."""
     cols = []
-    for _ in range(draw(st.integers(1, 4))):
-        kind = draw(st.sampled_from(["ties", "floats", "constant", "all_nan"]))
-        if kind == "ties":
+    for _ in range(draw(st.integers(1, max_features))):
+        kind = draw(st.sampled_from(["ties", "floats", "constant", "all_nan", "copy"]))
+        if kind == "copy" and cols:
+            cols.append(cols[draw(st.integers(0, len(cols) - 1))])
+            continue
+        if kind in ("ties", "copy"):
             # 0.5 * (0.0 + 5e-324) rounds to 0.0: a split that empties a child
             cell = st.sampled_from([-1.5, 0.0, 5e-324, 1.0, 2.0, np.nan])
         elif kind == "floats":
@@ -475,6 +539,92 @@ class TestPresortDifferential:
             got = gbt._build_tree(XT, g, h, block, p)
             want = reference_build_tree(X, g, h, rows, p)
         assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+
+
+def _split_node(X, g, h, rows, lam, mcw, pad=(0, 0)):
+    """_best_split's arguments for a node over ``rows``: its segment is a view
+    into a block ``pad`` columns wider, as a child's is."""
+    XT = np.ascontiguousarray(np.asarray(X, dtype=np.float64).T)
+    g, h, rows = (np.asarray(a, dtype=dt) for a, dt in ((g, float), (h, float), (rows, int)))
+    node = gbt._tree_block(gbt._sort_columns(XT), rows)
+    wide = np.zeros((node.shape[0], pad[0] + rows.size + pad[1]), dtype=np.int32)
+    wide[:, pad[0]:pad[0] + rows.size] = node
+    G, H = g[rows].sum(), h[rows].sum()
+    with np.errstate(all="ignore"):
+        parent_score = G**2 / (H + lam)
+    return XT, g, h, wide[:, pad[0]:pad[0] + rows.size], lam, mcw, parent_score
+
+
+@st.composite
+def split_nodes(draw):
+    """A node's split search inputs, and the cells of one block to scan them
+    in: one feature per block when the node has more rows than that."""
+    n = draw(st.integers(2, 40))
+    X = draw(feature_matrix(n, max_features=8))
+    cell = st.sampled_from([0.0, 1.0, -1.0, 0.5]) | st.floats(-5.0, 5.0)
+    g = np.array(draw(st.lists(cell, min_size=n, max_size=n)))
+    h = np.array(draw(st.lists(st.sampled_from([0.0, 1.0, 0.25]) | st.floats(0.0, 5.0),
+                               min_size=n, max_size=n)))
+    zero = draw(st.lists(st.booleans(), min_size=n, max_size=n))  # rows of weight 0
+    g[zero] = h[zero] = 0.0
+    rows = sorted(draw(st.sets(st.integers(0, n - 1), min_size=2)))
+    lam = draw(st.sampled_from([0.0, 1.0]))
+    mcw = draw(st.sampled_from([0.0, 1.0, 4.0]))
+    pad = (draw(st.integers(0, 3)), draw(st.integers(0, 3)))
+    block = draw(st.sampled_from([gbt._BLOCK, 1, 2, 5, 16, 64]))
+    return _split_node(X, g, h, rows, lam, mcw, pad), block
+
+
+def _split_json(split, node):
+    with np.errstate(all="ignore"):
+        return json.dumps(split(*node))  # NaN gains compare equal; numpy types fail
+
+
+class TestBlockScanDifferential:
+    """Scoring a node's features as (features x rows) blocks finds the same
+    split, bit for bit, as scanning them one at a time (the oracle above)."""
+
+    # feature 1's missing-left pass has a NaN gain (0/0 at l2_lambda 0): its
+    # missing-right pass, infinite, must not replace it, so feature 0 wins
+    @example((_split_node([[1.0, 1.0], [1.0, 0.0], [2.0, np.nan], [1.0, np.nan]],
+                          [0.0, 1.0, 2.0, 1.0], [0.0, 0.0, 1.0, 1.0],
+                          [0, 1, 2, 3], 0.0, 0.0), gbt._BLOCK))
+    @settings(max_examples=400, deadline=None)
+    @given(split_nodes())
+    def test_best_split(self, case):
+        node, block = case
+        with mock.patch.object(gbt, "_BLOCK", block):
+            assert _split_json(gbt._best_split, node) == _split_json(reference_best_split, node)
+
+    @pytest.mark.parametrize("n_rows, n_features", [(gbt._BLOCK + 100, 3), (1000, 40)],
+                             ids=["one_feature_per_block", "two_blocks"])
+    def test_best_split_wide(self, n_rows, n_features):
+        # the last feature, in the last block, carries the best split
+        rng = np.random.default_rng(n_features)
+        X = rng.integers(0, 50, size=(n_rows, n_features)).astype(np.float64)
+        X[rng.random(X.shape) < 0.05] = np.nan
+        X[:, 0] = np.nan
+        g = np.where(X[:, -1] < 25, -1.0, 1.0) + rng.normal(scale=0.1, size=n_rows)
+        h = rng.random(n_rows)
+        rows = np.flatnonzero(rng.random(n_rows) < 0.9)
+        node = _split_node(X, g, h, rows, 1.0, 1.0, pad=(5, 7))
+        got = _split_json(gbt._best_split, node)
+        assert got == _split_json(reference_best_split, node)
+        assert json.loads(got)[1] == n_features - 1
+
+    @pytest.mark.parametrize("train, reference, max_label", [
+        (train_binary, reference_train_binary, 1),
+        (train_multiclass, reference_train_multiclass, 3),
+    ], ids=["binary", "multiclass"])
+    def test_fit_across_blocks(self, train, reference, max_label):
+        # 1500 rows: the root scores its 30 features in two blocks
+        rng = np.random.default_rng(9)
+        X = np.round(rng.normal(size=(1500, 30)), 1)
+        X[rng.random(X.shape) < 0.05] = np.nan
+        y = rng.integers(0, max_label + 1, size=1500)
+        w = rng.random(1500)
+        p = GbtParams(num_rounds=2, max_depth=3, subsample=0.8, seed=3)
+        assert _fit_json(train, X, y, w, p) == _fit_json(reference, X, y, w, p)
 
 
 class TestNoReferenceCycles:
