@@ -4,7 +4,8 @@ Supports a binary-logistic head (cascade base classifier) and a
 multiclass-softmax head (baseline), boosted by one loop: the binary head is
 its one-column case. Split finding is exact greedy over
 columns sorted once per fit (the column-block layout of XGBoost), each node
-scoring its features as blocks in a few numpy calls; all randomness flows
+scoring its features as blocks in a few numpy calls, and the root's cuts,
+which depend only on its rows, found once per row set; all randomness flows
 from the params seed, so training is reproducible bit-for-bit.
 """
 
@@ -251,48 +252,73 @@ def _tree_block(order, rows) -> np.ndarray:
     return np.vstack([order, rows.astype(np.int32)])
 
 
-def _best_split(XT, g, h, seg, lam, mcw, parent_score):
-    """Best (gain, feature, threshold, default_left) of the node whose block
-    segment is ``seg``, or None.
+def _block_cuts(XT, lines, a):
+    """The part of scoring the block of features ``a, a+1, ...`` (sorted row
+    ``lines``) that depends on no gradient: the flat (line, position) of each
+    cut's lower value, the block's ``bounds`` into them, per-line cut counts,
+    the lines that have cuts and where their cuts start, and the lines ending
+    in NaN with their non-missing counts. None if the block has no cut."""
+    n = XT.shape[1]
+    kb, m = lines.shape
+    V = XT.take(lines + np.arange(a * n, (a + kb) * n, n)[:, None])
+    is_cut = np.zeros((kb, m), dtype=bool)
+    np.less(V[:, :-1], V[:, 1:], out=is_cut[:, :-1])
+    cut = np.flatnonzero(is_cut)
+    if cut.size == 0:
+        return None
+    bounds = np.searchsorted(cut, np.arange(kb + 1) * m)
+    count = np.diff(bounds)
+    cut_lines = np.flatnonzero(count)
+    missing = np.flatnonzero(np.isnan(V[:, -1]))
+    n_ok = m - np.count_nonzero(np.isnan(V[missing]), axis=1)
+    return cut, bounds, count, cut_lines, bounds[cut_lines], missing, n_ok
 
-    Scores up to ``_BLOCK // m`` features at a time, each block in a few numpy
-    calls over its (features x m) sorted values, g and h. A cut lies between
-    two adjacent values that differ; NaNs sort last and compare false, so they
-    cut nothing, and their rows go as one group to whichever side scores
-    better. Ties keep the lowest feature, then default_left, then the lowest
-    threshold; a NaN gain, once first, is kept.
-    """
-    n_features, n = XT.shape
-    m = seg.shape[1]
-    k = max(1, _BLOCK // m)
-    best = None
+
+def _block_lines(seg, n_features):
+    """Each block of features _best_split scores a node at once: its first
+    feature and its (features x m) sorted row lines, ``seg``'s last line, the
+    rows, left out. Blocks hold up to ``_BLOCK // m`` features."""
+    k = max(1, _BLOCK // seg.shape[1])
     for a in range(0, n_features, k):
-        # the last line lists rows, not a feature; take() is far slower on
-        # int32 indices than on intp ones
-        lines = seg[a:min(a + k, n_features)].astype(np.intp)
+        # take() is far slower on int32 indices than on intp ones
+        yield a, seg[a:min(a + k, n_features)].astype(np.intp)
+
+
+def _root_cuts(XT, block) -> list:
+    """_block_cuts of each block of a tree's root, shared by every tree grown
+    over the same rows."""
+    return [_block_cuts(XT, lines, a) for a, lines in _block_lines(block, XT.shape[0])]
+
+
+def _best_split(XT, g, h, seg, lam, mcw, parent_score, cuts=None):
+    """Best (gain, feature, threshold, default_left) of the node whose block
+    segment is ``seg``, or None; ``cuts`` is the node's _root_cuts, if known.
+
+    Scores each of _block_lines' blocks in a few numpy calls over its
+    (features x m) sorted g and h. A cut lies between two adjacent values
+    that differ; NaNs sort last and compare false, so they cut nothing, and
+    their rows go as one group to whichever side scores better. Ties keep the
+    lowest feature, then default_left, then the lowest threshold; a NaN gain,
+    once first, is kept.
+    """
+    m = seg.shape[1]
+    best = None
+    for i, (a, lines) in enumerate(_block_lines(seg, XT.shape[0])):
+        block_cuts = _block_cuts(XT, lines, a) if cuts is None else cuts[i]
+        if block_cuts is None:
+            continue
+        cut, bounds, count, cut_lines, starts, missing, n_ok = block_cuts
         kb = lines.shape[0]
-        V = XT.take(lines + np.arange(a * n, (a + kb) * n, n)[:, None])
         G = g.take(lines)
         H = h.take(lines)
-        is_cut = np.zeros((kb, m), dtype=bool)
-        np.less(V[:, :-1], V[:, 1:], out=is_cut[:, :-1])
-        cut = np.flatnonzero(is_cut)  # flat (line, position) of each cut's lower value
-        if cut.size == 0:
-            continue
-        bounds = np.searchsorted(cut, np.arange(kb + 1) * m)
-        count = np.diff(bounds)
-        cut_lines = np.flatnonzero(count)
-        starts = bounds[cut_lines]
         gl = G.cumsum(axis=1).take(cut)
         hl = H.cumsum(axis=1).take(cut)
         g_tot = G.sum(axis=1)  # a C-contiguous row sums bit for bit as a 1-D array
         h_tot = H.sum(axis=1)
-        missing = np.flatnonzero(np.isnan(V[:, -1]))
         passes = [(gl, hl)]
         if missing.size:
             gm = np.zeros(kb)
             hm = np.zeros(kb)
-            n_ok = m - np.count_nonzero(np.isnan(V[missing]), axis=1)
             for j, n_j in zip(missing.tolist(), n_ok.tolist()):
                 gm[j] = G[j, n_j:].sum()
                 hm[j] = H[j, n_j:].sum()
@@ -327,24 +353,29 @@ def _best_split(XT, g, h, seg, lam, mcw, parent_score):
             j = 0
         elif not top[j] > (-np.inf if best is None else best[0]):
             continue
-        s, e = bounds[cut_lines[j]], bounds[cut_lines[j] + 1]
-        c = cut[s + int(scores[int(right[j])][s:e].argmax())]  # the first max: lowest threshold
-        lo, hi = float(V.flat[c]), float(V.flat[c + 1])  # Python floats overflow silently
+        line = int(cut_lines[j])
+        s, e = bounds[line], bounds[line + 1]
+        c = int(cut[s + int(scores[int(right[j])][s:e].argmax())]) - line * m  # the first max
+        f = a + line
+        # Python floats overflow silently
+        lo, hi = float(XT[f, lines[line, c]]), float(XT[f, lines[line, c + 1]])
         # the midpoint leaves (lo, hi] on an overflow to inf, a -inf lo or
         # adjacent doubles rounding down; hi still sends lo's rows left
         thr = 0.5 * (lo + hi)
-        best = (float(gain[j]), a + int(cut_lines[j]), thr if lo < thr <= hi else hi,
-                not right[j])
+        best = (float(gain[j]), f, thr if lo < thr <= hi else hi, not right[j])
     return best
 
 
-def _build_tree(XT, g, h, block, params: GbtParams) -> Tree:
-    """Grow one tree over ``block`` (see _tree_block), partitioning it in
-    place: each node owns the columns [s, e) of every line, and a split moves
-    its left rows, in order, to the front. Nodes are numbered in preorder."""
+def _build_tree(XT, g, h, block, root_cuts, params: GbtParams):
+    """Grow one tree over ``block`` (see _tree_block), whose root's cuts are
+    ``root_cuts`` (see _root_cuts), partitioning it in place: each node owns
+    the columns [s, e) of every line, and a split moves its left rows, in
+    order, to the front. Nodes are numbered in preorder. Returns the tree and
+    the leaf of each position of the block's last line, its rows."""
     lam = params.l2_lambda
     mcw = params.min_child_weight
     goes_left = np.zeros(XT.shape[1], dtype=bool)
+    leaf_of = np.empty(block.shape[1], dtype=np.intp)
     nodes = []                      # (feature, threshold, default_left, value)
     left_of, right_of = [], []      # each node's children; -1 at a leaf
     stack = [(0, block.shape[1], 0, -1, True)]  # (s, e, depth, parent, is_left)
@@ -356,11 +387,16 @@ def _build_tree(XT, g, h, block, params: GbtParams) -> Tree:
         G = g[rows].sum()
         H = h[rows].sum()
         best = None
-        if depth < params.max_depth and rows.size >= 2:
-            best = _best_split(XT, g, h, seg, lam, mcw, G**2 / (H + lam))
+        # H + lam is 0 only with l2_lambda 0 and hessians that are all 0: the
+        # node's value is 0, and so would every descendant's be
+        if depth < params.max_depth and rows.size >= 2 and H + lam:
+            # NaN and inf scores are handled explicitly (see _best_split)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                best = _best_split(XT, g, h, seg, lam, mcw, G**2 / (H + lam),
+                                   root_cuts if node == 0 else None)
         if best is None or best[0] <= _GAIN_EPS:
-            # H + lam is 0 only with l2_lambda 0 and hessians that sum to 0
             nodes.append((-1, 0.0, True, -G / (H + lam) if H + lam else 0.0))
+            leaf_of[s:e] = node
         else:
             _, f, thr, dl = best
             nodes.append((f, thr, dl, 0.0))
@@ -369,9 +405,12 @@ def _build_tree(XT, g, h, block, params: GbtParams) -> Tree:
             goes_left[rows] = go_left
             # children at max_depth are leaves: they only need their rows
             lines = seg if depth + 1 < params.max_depth else seg[-1:]
-            mask = goes_left[lines]
+            # a stable 1-D partition of every line at once; a contiguous
+            # segment's ravel() is a view, so both halves are copied first
+            flat = lines.ravel()
+            mask = goes_left.take(flat)
+            left, right = flat.compress(mask), flat.compress(~mask)
             n_left = int(np.count_nonzero(go_left))
-            left, right = lines[mask], lines[~mask]
             lines[:, :n_left] = left.reshape(len(lines), n_left)
             lines[:, n_left:] = right.reshape(len(lines), e - s - n_left)
             stack.append((s + n_left, e, depth + 1, node, False))
@@ -381,7 +420,7 @@ def _build_tree(XT, g, h, block, params: GbtParams) -> Tree:
         if parent >= 0:
             (left_of if is_left else right_of)[parent] = node
     feature, threshold, default_left, value = zip(*nodes)
-    return Tree(feature, threshold, left_of, right_of, default_left, value)
+    return Tree(feature, threshold, left_of, right_of, default_left, value), leaf_of
 
 
 def _subsample_rows(n, params: GbtParams, round_index: int) -> np.ndarray:
@@ -413,19 +452,34 @@ def _validate_training_input(X, y, w):
 def _boost(X, p: GbtParams, margin, grad_hess) -> list[list[Tree]]:
     """Each round, grow one tree per column of the (n, K) ``margin`` from
     ``grad_hess(margin)``'s (n, K) gradients and hessians, and add its scaled
-    predictions to that column in place. Keep ``margin`` C-contiguous: from
-    K = 8 on, softmax row sums round differently in another layout."""
+    leaf values to that column in place. Keep ``margin`` C-contiguous: from
+    K = 8 on, softmax row sums round differently in another layout.
+
+    The root's cuts depend only on its rows: they are found once per fit
+    without subsampling, else once per round."""
+    n = X.shape[0]
     XT = np.ascontiguousarray(X.T)
     order = _sort_columns(XT)
     trees = []
+    root_cuts = None
     for t in range(p.num_rounds):
         g, h = (np.ascontiguousarray(a.T) for a in grad_hess(margin))
-        rows = _subsample_rows(X.shape[0], p, t)
+        rows = _subsample_rows(n, p, t)
+        out = None  # the rows outside the sample
+        if rows.size < n:
+            root_cuts = None
+            out = np.setdiff1d(np.arange(n), rows, assume_unique=True)
         group = []
         for k in range(margin.shape[1]):
-            tree = _build_tree(XT, g[k], h[k], _tree_block(order, rows), p)
+            block = _tree_block(order, rows)
+            if root_cuts is None:
+                root_cuts = _root_cuts(XT, block)
+            tree, leaf_of = _build_tree(XT, g[k], h[k], block, root_cuts, p)
             group.append(tree)
-            margin[:, k] += p.learning_rate * tree.predict(X)
+            # the sampled rows' leaves are known from the partition
+            margin[block[-1], k] += p.learning_rate * tree.value.take(leaf_of)
+            if out is not None:
+                margin[out, k] += p.learning_rate * tree.predict(X[out])
         trees.append(group)
     return trees
 

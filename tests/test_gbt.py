@@ -1,5 +1,6 @@
 import gc
 import json
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -105,7 +106,7 @@ def reference_build_tree(X, g, h, rows, params: GbtParams) -> Tree:
     def grow(rows, depth):
         G = g[rows].sum()
         H = h[rows].sum()
-        if depth >= params.max_depth or rows.size < 2:
+        if depth >= params.max_depth or rows.size < 2 or not H + lam:
             return add_leaf(G, H)
         parent_score = G**2 / (H + lam)
         best = None
@@ -247,7 +248,8 @@ class TestGradients:
         h = np.array([2.0])
         XT = np.array([[0.0]])
         block = gbt._tree_block(gbt._sort_columns(XT), np.array([0]))
-        tree = gbt._build_tree(XT, g, h, block, GbtParams(l2_lambda=1.0))
+        tree, _ = gbt._build_tree(XT, g, h, block, gbt._root_cuts(XT, block),
+                                  GbtParams(l2_lambda=1.0))
         assert tree.value[0] == pytest.approx(1.0)
 
 
@@ -336,6 +338,18 @@ class TestWeights:
         assert np.isfinite(m.trees[0][0].value).all()
         # rows 2 and 3 reach that leaf, valued 0, from base score 0
         assert m.predict_proba(np.arange(4.0).reshape(-1, 1))[2:].tolist() == [0.5, 0.5]
+
+    def test_zero_hessian_node_is_leaf(self):
+        # with l2_lambda 0, node 4 holds only the two zero-weight rows: its
+        # parent score is 0/0, so every gain it could split with is NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = train_binary([[0], [1], [2], [3]], [0, 1, 0, 1], [1, 1, 0, 0],
+                             GbtParams(num_rounds=1, max_depth=2, l2_lambda=0,
+                                       min_child_weight=0))
+        tree = m.trees[0][0]
+        assert tree.value.size == 5
+        assert tree.left[4] == tree.right[4] == -1
 
     def test_some_zero_weights_train(self):
         X = np.arange(4.0).reshape(-1, 1)
@@ -536,9 +550,11 @@ class TestPresortDifferential:
         XT = np.ascontiguousarray(X.T)
         block = gbt._tree_block(gbt._sort_columns(XT), rows)
         with np.errstate(all="ignore"):
-            got = gbt._build_tree(XT, g, h, block, p)
+            got, leaf_of = gbt._build_tree(XT, g, h, block, gbt._root_cuts(XT, block), p)
             want = reference_build_tree(X, g, h, rows, p)
         assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+        # the partition leaves each row at the leaf the tree sends it to
+        assert np.array_equal(got.value[leaf_of], want.predict(X[block[-1]]), equal_nan=True)
 
 
 def _split_node(X, g, h, rows, lam, mcw, pad=(0, 0)):
@@ -594,7 +610,11 @@ class TestBlockScanDifferential:
     def test_best_split(self, case):
         node, block = case
         with mock.patch.object(gbt, "_BLOCK", block):
-            assert _split_json(gbt._best_split, node) == _split_json(reference_best_split, node)
+            want = _split_json(reference_best_split, node)
+            assert _split_json(gbt._best_split, node) == want
+            # the same split from cuts found before the scoring, as a root's are
+            XT, seg = node[0], node[3]
+            assert _split_json(gbt._best_split, node + (gbt._root_cuts(XT, seg),)) == want
 
     @pytest.mark.parametrize("n_rows, n_features", [(gbt._BLOCK + 100, 3), (1000, 40)],
                              ids=["one_feature_per_block", "two_blocks"])
@@ -625,6 +645,45 @@ class TestBlockScanDifferential:
         w = rng.random(1500)
         p = GbtParams(num_rounds=2, max_depth=3, subsample=0.8, seed=3)
         assert _fit_json(train, X, y, w, p) == _fit_json(reference, X, y, w, p)
+
+    @pytest.mark.parametrize("subsample", [1.0, 0.7])
+    @pytest.mark.parametrize("train, reference, max_label", [
+        (train_binary, reference_train_binary, 1),
+        (train_multiclass, reference_train_multiclass, 3),
+    ], ids=["binary", "multiclass"])
+    def test_fit_with_shared_root_cuts(self, train, reference, max_label, subsample):
+        # one feature per block: the root cuts, found once per fit (or per
+        # round when subsampling), span 12 blocks, and each tree's margins
+        # come from its partition; the reference keeps per-node cuts and
+        # Tree.predict margins
+        rng = np.random.default_rng(17)
+        X = np.round(rng.normal(size=(300, 12)), 1)
+        X[rng.random(X.shape) < 0.05] = np.nan
+        y = rng.integers(0, max_label + 1, size=300)
+        w = rng.random(300)
+        p = GbtParams(num_rounds=3, max_depth=3, subsample=subsample, seed=5)
+        with mock.patch.object(gbt, "_BLOCK", 64):
+            assert _fit_json(train, X, y, w, p) == _fit_json(reference, X, y, w, p)
+
+
+class TestMemory:
+    @pytest.mark.parametrize("train, n_labels", [(train_binary, 2), (train_multiclass, 4)],
+                             ids=["binary", "multiclass"])
+    def test_fit_peak_memory(self, train, n_labels):
+        # a fit holds the transposed matrix, its sort order, a tree's block
+        # and the root's cut positions: about 5-6 times X's bytes at this size
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(8000, 40))
+        X[:, :20] = np.round(X[:, :20], 1)  # ties
+        y = rng.integers(0, n_labels, size=8000)
+        p = GbtParams(num_rounds=3, max_depth=4)
+        tracemalloc.start()
+        try:
+            train(X, y, None, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.5 * X.nbytes
 
 
 class TestNoReferenceCycles:
