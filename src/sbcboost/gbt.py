@@ -330,8 +330,10 @@ def _best_split(XT, g, h, seg, lam, mcw, parent_score, cuts=None):
         for GL, HL in passes:  # missing rows left, then right
             GR = g_tot - GL
             HR = h_tot - HL
-            ok = (HL >= mcw) & (HR >= mcw)
-            score = GL**2 / (HL + lam) + GR**2 / (HR + lam)
+            DL, DR = HL + lam, HR + lam
+            # a child of zero hessian at l2_lambda 0 would score 0/0
+            ok = (HL >= mcw) & (HR >= mcw) & (DL != 0) & (DR != 0)
+            score = GL**2 / DL + GR**2 / DR
             score[~ok] = -np.inf
             scores.append(score)
             # NaN if any score is, as argmax picks the first NaN; -inf if no

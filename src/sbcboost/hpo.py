@@ -117,6 +117,9 @@ class Trial:
 
 @dataclass
 class HpoResult:
+    """A search's winner and its scored trials, one per candidate per scored
+    rung; ``best_score`` is the winner's score at the rung that chose it."""
+
     best_params: GbtParams
     best_score: float
     trials: list[Trial]
@@ -191,7 +194,8 @@ def grid_search(
     base_params: GbtParams = GbtParams(),
 ) -> HpoResult:
     """Exhaustive search: successive halving with a single rung, so every
-    combination is scored on the full data."""
+    combination is scored on the full data and ``best_score`` is the
+    winner's full-data score."""
     return halving_grid_search(
         grid, X, y, cv, HalvingConfig(min_resources=len(y)), objective, weights_mode, base_params
     )
@@ -202,7 +206,8 @@ def halving_schedule(n_candidates: int, n_rows: int, factor: int, min_resources:
 
     Survivors shrink by ceil(n/factor); resources multiply by factor until
     capped at the full row count. Stops once a single candidate remains or
-    the cap is reached (that iteration decides the winner).
+    the cap is reached. A trailing single-candidate iteration holds the
+    previous one's winner, so halving_grid_search does not score it.
     """
     schedule = []
     n = n_candidates
@@ -243,7 +248,13 @@ def halving_grid_search(
     weights_mode: str = "none",
     base_params: GbtParams = GbtParams(),
 ) -> HpoResult:
-    """Successive halving over the grid's combinations."""
+    """Successive halving over the grid's combinations.
+
+    Each rung cross-validates its survivors on a fresh stratified subsample
+    and keeps the top ceil(n/factor). A later rung that holds one candidate
+    is not scored, since that candidate won the rung before, and the winner
+    is not re-scored on the full data.
+    """
     t_start = time.perf_counter()
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -255,6 +266,8 @@ def halving_grid_search(
     last_scores: dict[int, float] = {}
     for it, (n_cand, resources) in enumerate(schedule):
         assert len(survivors) == n_cand
+        if it and n_cand == 1:
+            break  # the last rung's top candidate is already the winner
         rng = np.random.default_rng(hc.seed + it)
         sub = _stratified_subsample(y, resources, cv.folds, rng)
         scores = []
@@ -272,17 +285,9 @@ def halving_grid_search(
             survivors = sorted(survivors[j] for j in order[:keep])
 
     winner = max(survivors, key=lambda ci: (last_scores[ci], -ci))
-    best_params = replace(base_params, **combos[winner])
-    best_score = last_scores[winner]
-    if schedule[-1][1] < y.size:
-        # single survivor found before the budget reached full data:
-        # re-score it there so best_score is comparable with grid_search
-        t0 = time.perf_counter()
-        best_score = cross_validate(X, y, best_params, cv, objective, weights_mode)
-        trials.append(Trial(combos[winner], int(y.size), best_score, time.perf_counter() - t0))
     return HpoResult(
-        best_params=best_params,
-        best_score=best_score,
+        best_params=replace(base_params, **combos[winner]),
+        best_score=last_scores[winner],
         trials=trials,
         wall_clock=time.perf_counter() - t_start,
     )

@@ -56,18 +56,17 @@ def confusion(y_true, y_pred, n: int, has_unknown: bool = False) -> ConfusionMat
         raise LengthMismatch(f"{y_true.shape} vs {y_pred.shape}")
     if y_true.size and (y_true.min() < 0 or y_true.max() >= n):
         raise LabelOutOfRange("true label out of range")
-    cols = n + 1 if has_unknown else n
-    counts = np.zeros((n, cols), dtype=np.int64)
-    for t, p in zip(y_true, y_pred):
+    unknown = y_pred == UNKNOWN
+    bad = ((y_pred < 0) | (y_pred >= n)) & ~(unknown & has_unknown)
+    if bad.any():
+        p = int(y_pred[bad.argmax()])  # the first bad row's
         if p == UNKNOWN:
-            if not has_unknown:
-                raise LabelOutOfRange("UNKNOWN prediction without an unknown column")
-            counts[t, n] += 1
-        elif 0 <= p < n:
-            counts[t, p] += 1
-        else:
-            raise LabelOutOfRange(f"predicted label {p} out of range")
-    return ConfusionMatrix(counts, n, has_unknown)
+            raise LabelOutOfRange("UNKNOWN prediction without an unknown column")
+        raise LabelOutOfRange(f"predicted label {p} out of range")
+    cols = n + 1 if has_unknown else n
+    cells = y_true * cols + np.where(unknown, n, y_pred)
+    counts = np.bincount(cells, minlength=n * cols).astype(np.int64, copy=False)
+    return ConfusionMatrix(counts.reshape(n, cols), n, has_unknown)
 
 
 def per_class_report(cm: ConfusionMatrix) -> list[ClassReport]:

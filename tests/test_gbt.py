@@ -78,7 +78,9 @@ def reference_best_split_for_feature(values, g, h, l2_lambda, min_child_weight, 
         HL = hl + (hm if add_left else 0.0)
         GR = g_tot - GL
         HR = h_tot - HL
-        ok = (HL >= min_child_weight) & (HR >= min_child_weight)
+        # a child of zero hessian at l2_lambda 0 would score 0/0
+        ok = (HL >= min_child_weight) & (HR >= min_child_weight) \
+            & (HL + l2_lambda != 0) & (HR + l2_lambda != 0)
         if not ok.any():
             continue
         score = GL**2 / (HL + l2_lambda) + GR**2 / (HR + l2_lambda)
@@ -162,7 +164,7 @@ def reference_best_split(XT, g, h, seg, lam, mcw, parent_score):
             GL, HL = (gl + gm, hl + hm) if add_left and has_missing else (gl, hl)
             GR = g_tot - GL
             HR = h_tot - HL
-            ok = (HL >= mcw) & (HR >= mcw)
+            ok = (HL >= mcw) & (HR >= mcw) & (HL + lam != 0) & (HR + lam != 0)
             if not ok.any():
                 continue
             score = GL**2 / (HL + lam) + GR**2 / (HR + lam)
@@ -329,27 +331,41 @@ class TestWeights:
         with pytest.raises(InvalidWeights):
             train(X, np.array([0, 1, 0, 1]), np.array(w), GbtParams(num_rounds=1))
 
+    # with subsample 0.5 and seed 0, the only tree's root holds rows 2 and 3,
+    # whose weights are 0: at l2_lambda 0 its H + lambda is 0
+    ZERO_HESSIAN_ROOT = GbtParams(num_rounds=1, max_depth=2, l2_lambda=0,
+                                  min_child_weight=0, subsample=0.5, seed=0)
+
     def test_zero_hessian_leaf_is_zero(self):
-        # with l2_lambda 0, the leaf of the two zero-weight rows has H + lambda = 0
         with np.errstate(all="ignore"):
             m = train_binary([[0], [1], [2], [3]], [0, 1, 0, 1], [1, 1, 0, 0],
-                             GbtParams(num_rounds=1, max_depth=2, l2_lambda=0,
-                                       min_child_weight=0))
-        assert np.isfinite(m.trees[0][0].value).all()
-        # rows 2 and 3 reach that leaf, valued 0, from base score 0
-        assert m.predict_proba(np.arange(4.0).reshape(-1, 1))[2:].tolist() == [0.5, 0.5]
+                             self.ZERO_HESSIAN_ROOT)
+        assert m.trees[0][0].value.tolist() == [0.0]
+        assert m.predict_proba(np.arange(4.0).reshape(-1, 1)).tolist() == [0.5] * 4
 
     def test_zero_hessian_node_is_leaf(self):
-        # with l2_lambda 0, node 4 holds only the two zero-weight rows: its
-        # parent score is 0/0, so every gain it could split with is NaN
+        # its parent score would be 0/0, and so would every cut's
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = train_binary([[0], [1], [2], [3]], [0, 1, 0, 1], [1, 1, 0, 0],
+                             self.ZERO_HESSIAN_ROOT)
+        tree = m.trees[0][0]
+        assert tree.value.size == 1
+        assert tree.left[0] == tree.right[0] == -1
+
+    def test_zero_hessian_cut_not_chosen(self):
+        # at l2_lambda 0 the cuts at 1.5 and 2.5 leave rows 2 and 3, of weight
+        # 0, in a child of zero hessian, which would score 0/0; only the cut at
+        # 0.5 is scored, and no cut of the right child {1, 2, 3} is
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             m = train_binary([[0], [1], [2], [3]], [0, 1, 0, 1], [1, 1, 0, 0],
                              GbtParams(num_rounds=1, max_depth=2, l2_lambda=0,
                                        min_child_weight=0))
         tree = m.trees[0][0]
-        assert tree.value.size == 5
-        assert tree.left[4] == tree.right[4] == -1
+        assert tree.threshold[0] == 0.5
+        assert tree.value.size == 3
+        assert (tree.left[1:] == -1).all() and (tree.right[1:] == -1).all()
 
     def test_some_zero_weights_train(self):
         X = np.arange(4.0).reshape(-1, 1)
@@ -600,8 +616,9 @@ class TestBlockScanDifferential:
     """Scoring a node's features as (features x rows) blocks finds the same
     split, bit for bit, as scanning them one at a time (the oracle above)."""
 
-    # feature 1's missing-left pass has a NaN gain (0/0 at l2_lambda 0): its
-    # missing-right pass, infinite, must not replace it, so feature 0 wins
+    # at l2_lambda 0, feature 1's only cut leaves a child of zero hessian
+    # whichever side its missing rows take (0/0, then 1/0): both passes score
+    # -inf, so feature 0 wins with gain 0
     @example((_split_node([[1.0, 1.0], [1.0, 0.0], [2.0, np.nan], [1.0, np.nan]],
                           [0.0, 1.0, 2.0, 1.0], [0.0, 0.0, 1.0, 1.0],
                           [0, 1, 2, 3], 0.0, 0.0), gbt._BLOCK))

@@ -1,5 +1,7 @@
+import math
 import time
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -148,10 +150,12 @@ class TestHalving:
         g = HpGrid.from_mapping({"max_depth": [1, 2, 3, 4]})
         hc = HalvingConfig(factor=2, min_resources=80, seed=0)
         res = halving_grid_search(g, X, y, CvConfig(folds=2, seed=0), hc, "binary", base_params=FAST)
-        resources = [t.resources for t in res.trials]
-        assert resources[:4] == [80] * 4
-        assert resources[4:6] == [160] * 2
-        assert resources[6] == 320
+        # the 160-row rung leaves one candidate: the 320-row rung is not scored,
+        # and the winner is not re-scored on all 400 rows
+        assert [t.resources for t in res.trials] == [80] * 4 + [160] * 2
+        winner = {"max_depth": res.best_params.max_depth}
+        assert res.best_score == max(t.score for t in res.trials[4:])
+        assert [t.score for t in res.trials[4:] if t.params == winner] == [res.best_score]
 
     def test_determinism(self):
         X, y = gaussian_blobs([150, 80], scale=3.0, seed=10)
@@ -373,3 +377,126 @@ class TestSearchDifferential:
                 base_params=FAST,
             )
         self._same(result, ref)
+
+
+def reference_halving_grid_search(grid, X, y, cv, hc, objective="binary", weights_mode="none",
+                                  base_params=GbtParams()):
+    """Successive halving that scores every rung, a single survivor's too,
+    and re-scores the winner on all rows when the schedule stopped short of
+    them (oracle)."""
+    t_start = time.perf_counter()
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    combos = grid.combinations()
+    schedule = halving_schedule(len(combos), y.size, hc.factor, hc.min_resources)
+
+    trials = []
+    survivors = list(range(len(combos)))
+    last_scores = {}
+    for it, (n_cand, resources) in enumerate(schedule):
+        assert len(survivors) == n_cand
+        rng = np.random.default_rng(hc.seed + it)
+        sub = hpo._stratified_subsample(y, resources, cv.folds, rng)
+        scores = []
+        for ci in survivors:
+            params = replace(base_params, **combos[ci])
+            t0 = time.perf_counter()
+            score = cross_validate(X[sub], y[sub], params, cv, objective, weights_mode)
+            trials.append(Trial(combos[ci], int(resources), score, time.perf_counter() - t0))
+            scores.append(score)
+        last_scores = dict(zip(survivors, scores))
+        if it < len(schedule) - 1:
+            keep = math.ceil(n_cand / hc.factor)
+            order = sorted(range(len(survivors)), key=lambda j: -scores[j])
+            survivors = sorted(survivors[j] for j in order[:keep])
+
+    winner = max(survivors, key=lambda ci: (last_scores[ci], -ci))
+    best_params = replace(base_params, **combos[winner])
+    best_score = last_scores[winner]
+    if schedule[-1][1] < y.size:
+        t0 = time.perf_counter()
+        best_score = cross_validate(X, y, best_params, cv, objective, weights_mode)
+        trials.append(Trial(combos[winner], int(y.size), best_score, time.perf_counter() - t0))
+    return HpoResult(
+        best_params=best_params,
+        best_score=best_score,
+        trials=trials,
+        wall_clock=time.perf_counter() - t_start,
+    )
+
+
+class TestHalvingDifferential:
+    """halving_grid_search picks the reference's winner and scores the
+    reference's trials, less its single-survivor rungs and its re-score;
+    best_score is the winner's score at the last rung scored."""
+
+    FAST_GRID = {"max_depth": [1, 2, 3], "num_rounds": [3, 6]}
+    CV = CvConfig(folds=3, seed=1)
+
+    @staticmethod
+    def _expected(grid, n_rows, hc, ref):
+        """The reference's trials without those the search skips."""
+        schedule = halving_schedule(grid.size(), n_rows, hc.factor, hc.min_resources)
+        if len(schedule) > 1 and schedule[-1][0] == 1:
+            schedule = schedule[:-1]
+        return ref.trials[:sum(n for n, _ in schedule)]
+
+    def _check(self, result, ref, grid, n_rows, hc):
+        want = self._expected(grid, n_rows, hc, ref)
+        assert [(t.params, t.resources, t.score) for t in result.trials] == \
+            [(t.params, t.resources, t.score) for t in want]
+        assert result.best_params == ref.best_params
+        last = [t for t in want if t.resources == want[-1].resources]
+        winner = [t.score for t in last
+                  if all(getattr(ref.best_params, k) == v for k, v in t.params.items())]
+        assert [result.best_score] == winner
+
+    # (grid, rows per class, halving config, the schedule it must run)
+    CASES = {
+        # 6 -> 3 -> 2 -> 1 candidates: the 1-candidate rung and the re-score go
+        "single_survivor": (FAST_GRID, [250, 150], HalvingConfig(factor=2, min_resources=40, seed=3),
+                            [(6, 40), (3, 80), (2, 160), (1, 320)]),
+        # 1 -> at the row cap with 2 left: nothing goes
+        "row_cap": (FAST_GRID, [50, 40], HalvingConfig(factor=3, min_resources=40, seed=0),
+                    [(6, 40), (2, 90)]),
+        # the first rung already holds one candidate: it is scored, not re-scored
+        "one_candidate": ({"max_depth": [2]}, [80, 60], HalvingConfig(factor=2, min_resources=50),
+                          [(1, 50)]),
+        # the single survivor's rung is on all rows: skipped, and no re-score
+        "single_survivor_at_cap": (FAST_GRID, [120, 80], HalvingConfig(factor=3, min_resources=40),
+                                   [(6, 40), (2, 120), (1, 200)]),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("objective", ["binary", "multiclass"])
+    def test_single_search(self, case, objective):
+        mapping, counts, hc, schedule = self.CASES[case]
+        if objective == "multiclass":
+            counts = [counts[0] - 20, counts[1], 20]
+        X, y = gaussian_blobs(counts, scale=6.0, seed=2)
+        grid = HpGrid.from_mapping(mapping)
+        assert halving_schedule(grid.size(), y.size, hc.factor, hc.min_resources) == schedule
+        result = halving_grid_search(grid, X, y, self.CV, hc, objective, base_params=FAST)
+        ref = reference_halving_grid_search(grid, X, y, self.CV, hc, objective, base_params=FAST)
+        self._check(result, ref, grid, y.size, hc)
+
+    @pytest.mark.parametrize("weights", ["none", "inverse_frequency"])
+    def test_phgs_cascade(self, weights):
+        d = blob_dataset([400, 150, 60, 25], scale=3.0, seed=11)
+        o = order_classes(class_frequencies(d))
+        grid = HpGrid.from_mapping({
+            "max_depth": {"values": [1, 2, 3], "prune": "upper_bound"},
+            "num_rounds": {"values": [3, 6], "prune": "upper_bound"},
+        })
+        hc = HalvingConfig(factor=2, min_resources=60, seed=3)
+        model, results = phgs_cascade(d, o, grid, self.CV, hc, weights, base_params=FAST)
+        with mock.patch.object(hpo, "halving_grid_search", reference_halving_grid_search):
+            ref_model, ref_results = phgs_cascade(d, o, grid, self.CV, hc, weights,
+                                                  base_params=FAST)
+        assert len(results) == len(ref_results) == o.n
+        views = casc.stage_views(d, o, LastStagePolicy())
+        for result, ref, view in zip(results, ref_results, views):
+            stage_grid = HpGrid.from_mapping({k: sorted({t.params[k] for t in ref.trials})
+                                              for k in ref.trials[0].params})
+            self._check(result, ref, stage_grid, view.row_indices.size, hc)
+        assert [m.to_dict() for m in model.stages] == [m.to_dict() for m in ref_model.stages]

@@ -1,5 +1,8 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sbcboost.errors import LabelOutOfRange, LengthMismatch
 from sbcboost.metrics import (
@@ -26,6 +29,40 @@ def brute_force_report(y_true, y_pred, n):
     return out
 
 
+def reference_confusion(y_true, y_pred, n, has_unknown=False):
+    """The per-row counting loop that metrics.confusion replaced (oracle)."""
+    y_true = np.asarray(y_true, dtype=np.int64)
+    y_pred = np.asarray(y_pred, dtype=np.int64)
+    if y_true.shape != y_pred.shape:
+        raise LengthMismatch(f"{y_true.shape} vs {y_pred.shape}")
+    if y_true.size and (y_true.min() < 0 or y_true.max() >= n):
+        raise LabelOutOfRange("true label out of range")
+    cols = n + 1 if has_unknown else n
+    counts = np.zeros((n, cols), dtype=np.int64)
+    for t, p in zip(y_true, y_pred):
+        if p == UNKNOWN:
+            if not has_unknown:
+                raise LabelOutOfRange("UNKNOWN prediction without an unknown column")
+            counts[t, n] += 1
+        elif 0 <= p < n:
+            counts[t, p] += 1
+        else:
+            raise LabelOutOfRange(f"predicted label {p} out of range")
+    return counts
+
+
+@st.composite
+def label_pairs(draw):
+    """Labels in [0, n), or, in about half the draws of each side, in
+    [-3, n + 1], which holds UNKNOWN and labels out of range."""
+    n = draw(st.integers(1, 5))
+    size = draw(st.integers(0, 30))
+    sides = [st.integers(-3, n + 1) if draw(st.booleans()) else st.integers(0, n - 1)
+             for _ in range(2)]
+    y_true, y_pred = (draw(st.lists(s, min_size=size, max_size=size)) for s in sides)
+    return y_true, y_pred, n, draw(st.booleans())
+
+
 class TestConfusion:
     def test_diagonal(self):
         cm = confusion([0, 1, 2], [0, 1, 2], 3)
@@ -47,6 +84,38 @@ class TestConfusion:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             confusion([0, 1], [0], 2)
+
+    @pytest.mark.parametrize("y_true", [[0, -1], [0, 2]], ids=["negative", "n"])
+    def test_true_label_out_of_range(self, y_true):
+        with pytest.raises(LabelOutOfRange, match="true label"):
+            confusion(y_true, [0, 0], 2, has_unknown=True)
+
+    @pytest.mark.parametrize("p, has_unknown", [(2, False), (2, True), (-2, False), (-2, True)],
+                             ids=["n", "n_with_unknown_column", "negative",
+                                  "negative_with_unknown_column"])
+    def test_predicted_label_out_of_range(self, p, has_unknown):
+        # n is not the Unknown column's label, even when that column exists
+        with pytest.raises(LabelOutOfRange, match=f"predicted label {p} out of range"):
+            confusion([0, 1, 1], [0, 1, p], 2, has_unknown=has_unknown)
+
+    def test_first_bad_prediction_named(self):
+        with pytest.raises(LabelOutOfRange, match="UNKNOWN"):
+            confusion([0, 1, 1], [0, UNKNOWN, 7], 2)
+        with pytest.raises(LabelOutOfRange, match="label 7"):
+            confusion([0, 1, 1], [0, 7, UNKNOWN], 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(label_pairs())
+    def test_matches_counting_loop(self, case):
+        try:
+            want = reference_confusion(*case)
+        except LabelOutOfRange as exc:
+            with pytest.raises(LabelOutOfRange, match=f"^{re.escape(str(exc))}$"):
+                confusion(*case)
+            return
+        got = confusion(*case).counts
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
     def test_totals_conserved(self):
         rng = np.random.default_rng(0)
