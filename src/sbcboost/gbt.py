@@ -5,17 +5,22 @@ multiclass-softmax head (baseline), boosted by one loop: the binary head is
 its one-column case. Split finding is exact greedy over
 columns sorted once per fit (the column-block layout of XGBoost), each node
 scoring its features as blocks in a few numpy calls, and the root's cuts,
-which depend only on its rows, found once per row set; all randomness flows
-from the params seed, so training is reproducible bit-for-bit.
+which depend only on its rows, found once per row set. A softmax round's
+trees grow in forked worker processes, one per usable CPU; all randomness
+flows from the params seed, so training is reproducible bit-for-bit.
 """
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, asdict
+from functools import partial
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyData, InvalidWeights, SingleClassInput
+from .errors import (DimensionMismatch, EmptyData, InvalidWeights, LabelOutOfRange,
+                     SingleClassInput)
 
 _GAIN_EPS = 1e-12
 _BLOCK = 2**15  # (features x rows) cells _best_split scores at once
@@ -435,11 +440,17 @@ def _subsample_rows(n, params: GbtParams, round_index: int) -> np.ndarray:
 
 def _validate_training_input(X, y, w):
     X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
+    labels = np.asarray(y)
     if X.ndim != 2 or X.shape[0] == 0:
         raise EmptyData("empty feature matrix")
-    if y.shape[0] != X.shape[0]:
+    if labels.shape[0] != X.shape[0]:
         raise DimensionMismatch("labels length != rows")
+    # the cast would truncate 2.5 to 2 and keep -1, a negative class index
+    with np.errstate(invalid="ignore"):  # NaN and inf cast to some integer
+        y = labels.astype(np.int64)
+    bad = (y < 0) | (y != labels)
+    if bad.any():
+        raise LabelOutOfRange(f"training label {labels[bad][0]} is not a whole number >= 0")
     if w is None:
         w = np.ones(X.shape[0], dtype=np.float64)
     else:
@@ -451,38 +462,97 @@ def _validate_training_input(X, y, w):
     return X, y, w
 
 
+class _TreeGrower:
+    """A fit's tree builder: ``grower((t, g, h))`` grows round ``t``'s tree
+    from one column's gradients ``g`` and hessians ``h``, and returns it, the
+    round's rows in the order its partition left them, and their leaf values.
+
+    It keeps the round's rows and their root cuts, which depend only on the
+    rows: found once per fit without subsampling, else once per round from
+    the seed. A fork pool's workers inherit it and work them out alike."""
+
+    def __init__(self, XT, p: GbtParams):
+        self.XT, self.p = XT, p
+        self.order = _sort_columns(XT)
+        self._use_round(0)
+
+    def _use_round(self, t):
+        self.round = t
+        self.rows = _subsample_rows(self.XT.shape[1], self.p, t)
+        self.root_cuts = _root_cuts(self.XT, _tree_block(self.order, self.rows))
+
+    def __call__(self, task):
+        t, g, h = task
+        if t != self.round and self.p.subsample < 1.0:
+            self._use_round(t)
+        block = _tree_block(self.order, self.rows)
+        tree, leaf_of = _build_tree(self.XT, g, h, block, self.root_cuts, self.p)
+        return tree, block[-1], tree.value.take(leaf_of)
+
+
+_worker_grower = None  # a pool worker's inherited _TreeGrower; None elsewhere
+
+
+def _init_worker(grower):
+    global _worker_grower
+    _worker_grower = grower
+
+
+def _grow_in_worker(task):
+    return _worker_grower(task)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, which taskset limits."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+@contextmanager
+def _tree_map(grower, n_trees):
+    """The map a fit runs ``grower`` over each round's tasks with: a fork
+    pool's, whose workers, one per usable CPU up to ``n_trees``, inherit
+    ``grower``; or the builtin map, with one worker, without fork, or in a
+    daemonic process, which may not start children."""
+    workers = min(n_trees, _usable_cpus())
+    if workers > 1:
+        import multiprocessing  # here, as most fits and commands start no pool
+        if ("fork" in multiprocessing.get_all_start_methods()
+                and not multiprocessing.current_process().daemon):
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                                     initializer=_init_worker, initargs=(grower,)) as pool:
+                yield partial(pool.map, _grow_in_worker)
+            return
+    yield partial(map, grower)
+
+
 def _boost(X, p: GbtParams, margin, grad_hess) -> list[list[Tree]]:
     """Each round, grow one tree per column of the (n, K) ``margin`` from
     ``grad_hess(margin)``'s (n, K) gradients and hessians, and add its scaled
     leaf values to that column in place. Keep ``margin`` C-contiguous: from
     K = 8 on, softmax row sums round differently in another layout.
 
-    The root's cuts depend only on its rows: they are found once per fit
-    without subsampling, else once per round."""
-    n = X.shape[0]
-    XT = np.ascontiguousarray(X.T)
-    order = _sort_columns(XT)
+    A round's trees depend only on its gradients, so _tree_map may grow them
+    at once; their values are added in column order all the same."""
+    n, n_trees = margin.shape
+    grower = _TreeGrower(np.ascontiguousarray(X.T), p)
     trees = []
-    root_cuts = None
-    for t in range(p.num_rounds):
-        g, h = (np.ascontiguousarray(a.T) for a in grad_hess(margin))
-        rows = _subsample_rows(n, p, t)
-        out = None  # the rows outside the sample
-        if rows.size < n:
-            root_cuts = None
-            out = np.setdiff1d(np.arange(n), rows, assume_unique=True)
-        group = []
-        for k in range(margin.shape[1]):
-            block = _tree_block(order, rows)
-            if root_cuts is None:
-                root_cuts = _root_cuts(XT, block)
-            tree, leaf_of = _build_tree(XT, g[k], h[k], block, root_cuts, p)
-            group.append(tree)
-            # the sampled rows' leaves are known from the partition
-            margin[block[-1], k] += p.learning_rate * tree.value.take(leaf_of)
-            if out is not None:
-                margin[out, k] += p.learning_rate * tree.predict(X[out])
-        trees.append(group)
+    with _tree_map(grower, n_trees) as tree_map:
+        for t in range(p.num_rounds):
+            g, h = (np.ascontiguousarray(a.T) for a in grad_hess(margin))
+            rows = _subsample_rows(n, p, t)
+            out = None  # the rows outside the sample
+            if rows.size < n:
+                out = np.setdiff1d(np.arange(n), rows, assume_unique=True)
+            group = []
+            tasks = [(t, g[k], h[k]) for k in range(n_trees)]
+            for k, (tree, leaf_rows, values) in enumerate(tree_map(tasks)):
+                group.append(tree)
+                # the sampled rows' leaves are known from the partition
+                margin[leaf_rows, k] += p.learning_rate * values
+                if out is not None:
+                    margin[out, k] += p.learning_rate * tree.predict(X[out])
+            trees.append(group)
     return trees
 
 

@@ -1,7 +1,10 @@
 import gc
 import json
+import multiprocessing
+import threading
 import tracemalloc
 import warnings
+from concurrent import futures
 from unittest import mock
 
 import numpy as np
@@ -9,7 +12,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sbcboost import gbt
-from sbcboost.errors import DimensionMismatch, EmptyData, InvalidWeights, SingleClassInput
+from sbcboost.errors import (DimensionMismatch, EmptyData, InvalidWeights, LabelOutOfRange,
+                             SingleClassInput)
 from sbcboost.gbt import (
     GbtModel,
     GbtParams,
@@ -392,6 +396,27 @@ class TestMulticlass:
             train_multiclass(np.ones((4, 2)), np.zeros(4, dtype=int), None, GbtParams())
 
 
+class TestLabels:
+    # each trained before as a cast label: -1 as the last class (a negative
+    # index into the softmax's columns), 2.5 as 2, and 0.5 as 0
+    @pytest.mark.parametrize("train, y, bad", [
+        (train_multiclass, [-1, 0, 1, 1], "-1"),
+        (train_multiclass, [0, 1, 2.5, 1], "2.5"),
+        (train_binary, [0.5, 1, 0, 1], "0.5"),
+        (train_multiclass, [0, 1, np.nan, 1], "nan"),
+    ], ids=["negative", "fractional", "binary_fractional", "nan"])
+    def test_bad_label_rejected(self, train, y, bad):
+        X = np.arange(8.0).reshape(4, 2)
+        with pytest.raises(LabelOutOfRange, match=f"training label {bad} "):
+            train(X, y, None, GbtParams(num_rounds=1))
+
+    def test_whole_float_labels_train(self):
+        X, y = gaussian_blobs([20, 20, 20], seed=2)
+        p = GbtParams(num_rounds=2, max_depth=2)
+        assert train_multiclass(X, y.astype(float), None, p).to_dict() == \
+            train_multiclass(X, y, None, p).to_dict()
+
+
 class TestPredict:
     def test_zero_tree_base_half(self):
         m = GbtModel("binary_logistic", 1, 0.0, [], GbtParams(), 2)
@@ -694,12 +719,14 @@ class TestMemory:
         X[:, :20] = np.round(X[:, :20], 1)  # ties
         y = rng.integers(0, n_labels, size=8000)
         p = GbtParams(num_rounds=3, max_depth=4)
-        tracemalloc.start()
-        try:
-            train(X, y, None, p)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        # tracemalloc sees only this process: grow the trees in it
+        with mock.patch.object(gbt, "_usable_cpus", return_value=1):
+            tracemalloc.start()
+            try:
+                train(X, y, None, p)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
         assert peak <= 6.5 * X.nbytes
 
 
@@ -718,3 +745,82 @@ class TestNoReferenceCycles:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+def _fit_in_daemon(X, y, p):
+    """A multiclass fit's JSON from inside a daemonic process, which may not
+    start a pool."""
+    assert multiprocessing.current_process().daemon
+    with mock.patch.object(gbt, "_usable_cpus", return_value=2), \
+            mock.patch.object(futures, "ProcessPoolExecutor", side_effect=AssertionError("pool")):
+        return json.dumps(train_multiclass(X, y, None, p).to_dict())
+
+
+class TestParallelRounds:
+    """A softmax round's trees grown in a fork pool equal those grown one
+    after another in this process, bit for bit, and no worker outlives the
+    fit."""
+
+    @staticmethod
+    def _data(n_classes):
+        rng = np.random.default_rng(n_classes)
+        X = np.round(rng.normal(size=(300, 12)), 1)
+        X[rng.random(X.shape) < 0.05] = np.nan
+        return X, rng.integers(0, n_classes, size=300), rng.random(300)
+
+    @pytest.mark.parametrize("subsample", [1.0, 0.7])
+    @pytest.mark.parametrize("n_classes", [2, 4, 10])
+    def test_matches_one_worker(self, n_classes, subsample):
+        X, y, w = self._data(n_classes)
+        p = GbtParams(num_rounds=3, max_depth=3, subsample=subsample, seed=5)
+        with mock.patch.object(gbt, "_BLOCK", 64):  # the root's cuts span 12 blocks
+            with mock.patch.object(gbt, "_usable_cpus", return_value=1), \
+                    mock.patch.object(futures, "ProcessPoolExecutor", side_effect=AssertionError):
+                want = _fit_json(train_multiclass, X, y, w, p)
+            # three workers, so this holds on one CPU too
+            with mock.patch.object(gbt, "_usable_cpus", return_value=3), \
+                    mock.patch.object(futures, "ProcessPoolExecutor",
+                                      wraps=futures.ProcessPoolExecutor) as pool:
+                got = _fit_json(train_multiclass, X, y, w, p)
+        assert pool.call_count == 1
+        assert pool.call_args.args[0] == min(n_classes, 3)
+        assert got == want and want.startswith('{"format_version"')
+        assert multiprocessing.active_children() == []
+
+    def test_worker_error_reaches_caller(self):
+        X, y, _ = self._data(4)
+        boom = mock.Mock(side_effect=RuntimeError("boom"))
+        with mock.patch.object(gbt, "_usable_cpus", return_value=2), \
+                mock.patch.object(gbt, "_build_tree", boom):
+            with pytest.raises(RuntimeError, match="boom"):
+                train_multiclass(X, y, None, GbtParams(num_rounds=2, max_depth=2))
+        boom.assert_not_called()  # it raised in a worker, not here
+        assert multiprocessing.active_children() == []
+
+    def test_daemon_caller_grows_trees_serially(self):
+        X, y, _ = self._data(4)
+        p = GbtParams(num_rounds=3, max_depth=3)
+        with multiprocessing.get_context("fork").Pool(1) as daemons:
+            got = daemons.apply_async(_fit_in_daemon, (X, y, p)).get(timeout=120)
+        assert got == json.dumps(train_multiclass(X, y, None, p).to_dict())
+
+    def test_two_threads_fit_at_once(self):
+        # every fit keeps its own state: neither sees the other's data
+        fits = [self._data(k) + (GbtParams(num_rounds=4, max_depth=3, subsample=s),)
+                for k, s in ((3, 1.0), (5, 0.7))]
+        with mock.patch.object(gbt, "_usable_cpus", return_value=1):
+            want = [_fit_json(train_multiclass, *fit) for fit in fits]
+        got = [None, None]
+
+        def fit(i):
+            got[i] = _fit_json(train_multiclass, *fits[i])
+
+        with mock.patch.object(gbt, "_usable_cpus", return_value=2):
+            threads = [threading.Thread(target=fit, args=(i,)) for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+        assert got == want and all(w.startswith('{"format_version"') for w in want)
+        assert multiprocessing.active_children() == []

@@ -281,8 +281,8 @@ def reference_grid_search(grid, X, y, cv, objective="binary", weights_mode="none
 def reference_per_stage_search(train, o, grid, cv, mode, hc=None, weights_mode="none",
                                policy=LastStagePolicy(), base_params=GbtParams(),
                                threshold=casc.DEFAULT_THRESHOLD):
-    if mode not in ("gs", "hgs"):
-        raise ValueError(f"mode must be gs or hgs, got {mode!r}")
+    if mode not in ("gs", "hgs", "phgs"):
+        raise ValueError(f"mode must be gs, hgs or phgs, got {mode!r}")
     views = casc.stage_views(train, o, policy)
     stage_weights = "none" if weights_mode == "none" else "inverse_frequency"
     results = []
@@ -302,6 +302,15 @@ def reference_per_stage_search(train, o, grid, cv, mode, hc=None, weights_mode="
             raise StageError(view.stage, exc) from exc
         results.append(result)
         best_per_stage.append(result.best_params)
+        if mode == "phgs":
+            # the next stage keeps each bounded parameter's values on the
+            # winner's side, the winner's own included
+            kept = {}
+            for name, vals in grid.values.items():
+                best, side = getattr(result.best_params, name), grid.prune.get(name)
+                kept[name] = tuple(v for v in vals if side not in ("upper_bound", "lower_bound")
+                                   or (v <= best if side == "upper_bound" else v >= best))
+            grid = HpGrid(kept, grid.prune)
 
     model = casc.train_cascade(train, o, best_per_stage, weights_mode, policy, threshold)
     return model, results
@@ -344,14 +353,9 @@ class TestSearchDifferential:
 
         full_grid = HpGrid.from_mapping(self.CFG["grid"])
         full_hc = HalvingConfig(**self.CFG["halving"])
-        if mode == "phgs":
-            ref_model, ref_results = phgs_cascade(
-                d, o, full_grid, self.CV, full_hc, weights, base_params=FAST
-            )
-        else:
-            ref_model, ref_results = reference_per_stage_search(
-                d, o, full_grid, self.CV, mode, full_hc, weights, base_params=FAST
-            )
+        ref_model, ref_results = reference_per_stage_search(
+            d, o, full_grid, self.CV, mode, full_hc, weights, base_params=FAST
+        )
         assert len(results) == len(ref_results) == o.n
         for result, ref in zip(results, ref_results):
             self._same(result, ref)
