@@ -503,7 +503,8 @@ def _grow_in_worker(task):
 
 
 def _usable_cpus() -> int:
-    """The CPUs this process may run on, which taskset limits."""
+    """The CPUs this process may run on, which taskset limits; 1 where the
+    OS cannot say (macOS and Windows, where fork is unsafe or missing)."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
