@@ -17,15 +17,17 @@ from . import gbt
 from .data import Dataset, compute_sample_weights
 from .errors import (
     DimensionMismatch,
+    LabelOutOfRange,
     PolicySourceEmpty,
     StageError,
     StageOutOfRange,
     TooFewClasses,
 )
 from .gbt import GbtModel, GbtParams
+from .metrics import UNKNOWN
 
 DEFAULT_THRESHOLD = 0.5
-# what predict_batch does with a row no stage accepts
+# what route does with a row no stage accepts
 UNKNOWN_ACTIONS = ("emit_unknown", "assign_last_class")
 
 
@@ -39,6 +41,12 @@ class ClassOrdering:
     @property
     def n(self) -> int:
         return len(self.class_at)
+
+    def ranks(self, ids: np.ndarray) -> np.ndarray:
+        """Each non-negative class id's rank; -1 for an id not ordered."""
+        lookup = np.full(max(max(self.class_at), int(ids.max(initial=0))) + 1, -1)
+        lookup[list(self.class_at)] = np.arange(self.n)
+        return lookup[ids]
 
 
 @dataclass(frozen=True)
@@ -151,7 +159,9 @@ def binarize_stage(train: Dataset, o: ClassOrdering, i: int) -> StageView:
     """View for stage i < n-1: this stage's class vs all rarer classes."""
     if not (0 <= i <= o.n - 2):
         raise StageOutOfRange(f"stage {i} not in [0, {o.n - 2}]")
-    ranks = np.array([o.rank_of[int(c)] for c in train.labels])
+    ranks = o.ranks(train.labels)
+    if ranks.min(initial=0) < 0:
+        raise LabelOutOfRange(f"a training label is not in the class ordering {list(o.class_at)}")
     rows = np.flatnonzero(ranks >= i)
     labels = (train.labels[rows] == o.class_at[i]).astype(np.int64)
     return StageView(i, rows, labels)
@@ -229,13 +239,11 @@ def train_cascade(
     )
 
 
-def predict_batch(m: SbcModel, X: np.ndarray, unknown_action: str = "emit_unknown") -> list[Prediction]:
-    """Walk the stages for every row of ``X`` (or a single 1-D row): each
-    row stops at the first stage whose probability is >= its threshold.
-
-    ``assign_last_class`` maps Unknown to the rarest class so closed-set
-    metrics stay computable.
-    """
+def route(m: SbcModel, X: np.ndarray, unknown_action: str = "emit_unknown") -> tuple[np.ndarray, np.ndarray]:
+    """Walk the stages for every row of ``X`` (or one 1-D row); a row stops
+    at the first stage whose probability is >= its threshold. Returns int64
+    class ids, UNKNOWN where no stage accepts (the rarest class under
+    ``assign_last_class``), and the stage probabilities, NaN past each exit."""
     if unknown_action not in UNKNOWN_ACTIONS:
         raise ValueError(f"unknown_action {unknown_action!r}")
     X = np.asarray(X, dtype=np.float64)
@@ -244,26 +252,30 @@ def predict_batch(m: SbcModel, X: np.ndarray, unknown_action: str = "emit_unknow
     if X.shape[1] != m.n_features:
         raise DimensionMismatch(f"expected {m.n_features} features, got {X.shape[1]}")
 
-    n_rows = X.shape[0]
-    traces: list[list[tuple[int, float]]] = [[] for _ in range(n_rows)]
-    outcome = np.full(n_rows, -1, dtype=np.int64)
-    active = np.arange(n_rows)
+    unknown = m.ordering.class_at[-1] if unknown_action == "assign_last_class" else UNKNOWN
+    class_id = np.full(X.shape[0], unknown, dtype=np.int64)
+    proba = np.full((X.shape[0], len(m.stages)), np.nan)
+    active = np.arange(X.shape[0])
     for i, stage in enumerate(m.stages):
         if active.size == 0:
             break
         probs = stage.predict_proba(X[active])
+        proba[active, i] = probs
         accepted = probs >= m.thresholds[i]
-        for r, p in zip(active, probs):
-            traces[r].append((i, float(p)))
-        outcome[active[accepted]] = m.ordering.class_at[i]
+        class_id[active[accepted]] = m.ordering.class_at[i]
         active = active[~accepted]
+    return class_id, proba
 
-    preds = []
-    for r in range(n_rows):
-        if outcome[r] >= 0:
-            preds.append(Prediction(int(outcome[r]), traces[r]))
-        elif unknown_action == "assign_last_class":
-            preds.append(Prediction(m.ordering.class_at[m.ordering.n - 1], traces[r]))
-        else:
-            preds.append(Prediction(None, traces[r]))
-    return preds
+
+def predict_batch(m: SbcModel, X: np.ndarray, unknown_action: str = "emit_unknown") -> list[Prediction]:
+    """``route`` as one Prediction per row. A row's trace is the stages it
+    reached: through its class's rank, or every stage when none accepted it."""
+    class_id, proba = route(m, X, unknown_action)
+    # an Unknown row reached every stage, as a row the last stage accepts did
+    depth = m.ordering.ranks(np.where(class_id == UNKNOWN, m.ordering.class_at[-1], class_id)) + 1
+    reached = np.arange(m.ordering.n) < depth[:, None]
+    # every reached (stage, probability) in row order: each trace is a slice
+    cells = list(zip(np.nonzero(reached)[1].tolist(), proba[reached].tolist()))
+    ends = np.cumsum(depth).tolist()
+    return [Prediction(None if c == UNKNOWN else c, cells[start:end])
+            for c, start, end in zip(class_id.tolist(), [0] + ends[:-1], ends)]

@@ -192,10 +192,7 @@ def _score(bundle: ModelBundle, test: ds.Dataset, unknown_action: str, timings: 
     if bundle.kind == "mcc":
         y_pred = bundle.model.predict_class(test.features)
     else:
-        preds = casc.predict_batch(bundle.model, test.features, unknown_action)
-        y_pred = np.array(
-            [metrics.UNKNOWN if p.is_unknown else p.class_id for p in preds], dtype=np.int64
-        )
+        y_pred = casc.route(bundle.model, test.features, unknown_action)[0]
     timings = dict(timings, test_s=time.perf_counter() - t0)
     has_unknown = bool((y_pred == metrics.UNKNOWN).any())
     cm = metrics.confusion(test.labels, y_pred, len(bundle.class_names), has_unknown=has_unknown)

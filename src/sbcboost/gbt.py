@@ -113,6 +113,9 @@ class Tree:
         f = t.feature[split]
         if np.any((f < 0) | (f >= n_features)):
             raise ValueError(f"a tree splits on a feature outside [0, {n_features})")
+        # training writes inf thresholds (a cut next to inf data) but no NaN
+        if np.isnan(t.value).any() or np.isnan(t.threshold).any():
+            raise ValueError("a tree's value or threshold holds NaN")
         return t
 
 
@@ -180,10 +183,13 @@ class GbtModel:
         trees = [[Tree.from_dict(t, n_features) for t in group] for group in d["trees"]]
         if any(len(group) != n_classes for group in trees):
             raise ValueError(f"every tree group must hold {n_classes} trees")
+        base_score = float(d["base_score"])
+        if np.isnan(base_score):
+            raise ValueError("base_score is NaN")
         return cls(
             objective=objective,
             n_classes=n_classes,
-            base_score=float(d["base_score"]),
+            base_score=base_score,
             trees=trees,
             params=GbtParams(**d["params"]),
             n_features=n_features,

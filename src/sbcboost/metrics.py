@@ -77,10 +77,8 @@ def per_class_report(cm: ConfusionMatrix) -> list[ClassReport]:
     """
     n = cm.n_classes
     out = []
-    for c in range(n):
-        tp = int(cm.counts[c, c])
-        col = int(cm.counts[:, c].sum())
-        row = int(cm.counts[c, :].sum())
+    for tp, col, row in zip(cm.counts.diagonal().tolist(), cm.counts[:, :n].sum(axis=0).tolist(),
+                            cm.counts.sum(axis=1).tolist()):
         precision = tp / col if col > 0 else 0.0
         recall = tp / row if row > 0 else 0.0
         f1 = 2 * precision * recall / (precision + recall) if (precision + recall) > 0 else 0.0

@@ -1,10 +1,14 @@
 import json
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sbcboost.cascade import (
+    UNKNOWN_ACTIONS,
     ClassOrdering,
     LastStagePolicy,
     Prediction,
@@ -13,16 +17,19 @@ from sbcboost.cascade import (
     last_stage_view,
     order_classes,
     predict_batch,
+    route,
     train_cascade,
 )
 from sbcboost.data import Dataset, class_frequencies
 from sbcboost.errors import (
     DimensionMismatch,
+    LabelOutOfRange,
     PolicySourceEmpty,
     StageOutOfRange,
     TooFewClasses,
 )
 from sbcboost.gbt import GbtParams, train_binary
+from sbcboost.metrics import UNKNOWN
 
 from conftest import blob_dataset
 
@@ -41,6 +48,79 @@ def reference_predict(m: SbcModel, x: np.ndarray) -> Prediction:
         if p >= m.thresholds[i]:
             return Prediction(m.ordering.class_at[i], trace)
     return Prediction(None, trace)
+
+
+def reference_predict_batch(m: SbcModel, X: np.ndarray,
+                            unknown_action: str = "emit_unknown") -> list[Prediction]:
+    """The batch stage walk that route and its per-row view replaced: one
+    trace list per row, appended stage by stage (oracle)."""
+    if unknown_action not in UNKNOWN_ACTIONS:
+        raise ValueError(f"unknown_action {unknown_action!r}")
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim == 1:
+        X = X.reshape(1, -1)
+    if X.shape[1] != m.n_features:
+        raise DimensionMismatch(f"expected {m.n_features} features, got {X.shape[1]}")
+
+    n_rows = X.shape[0]
+    traces: list[list[tuple[int, float]]] = [[] for _ in range(n_rows)]
+    outcome = np.full(n_rows, -1, dtype=np.int64)
+    active = np.arange(n_rows)
+    for i, stage in enumerate(m.stages):
+        if active.size == 0:
+            break
+        probs = stage.predict_proba(X[active])
+        accepted = probs >= m.thresholds[i]
+        for r, p in zip(active, probs):
+            traces[r].append((i, float(p)))
+        outcome[active[accepted]] = m.ordering.class_at[i]
+        active = active[~accepted]
+
+    preds = []
+    for r in range(n_rows):
+        if outcome[r] >= 0:
+            preds.append(Prediction(int(outcome[r]), traces[r]))
+        elif unknown_action == "assign_last_class":
+            preds.append(Prediction(m.ordering.class_at[m.ordering.n - 1], traces[r]))
+        else:
+            preds.append(Prediction(None, traces[r]))
+    return preds
+
+
+@lru_cache(maxsize=None)
+def routing_model() -> SbcModel:
+    """A four-stage cascade over two features, its class ids permuted by the
+    ordering."""
+    d = blob_dataset([10, 400, 20, 80], seed=9)
+    return train_cascade(d, order_classes(class_frequencies(d)), PARAMS)
+
+
+@st.composite
+def routing_cases(draw):
+    """Thresholds in (0, 1) for routing_model, rows for it (a batch, maybe
+    empty, or one 1-D row) whose cells may be NaN or inf, and an unknown
+    action."""
+    thresholds = draw(st.lists(st.floats(0, 1, exclude_min=True, exclude_max=True),
+                               min_size=4, max_size=4))
+    shape = draw(st.just((2,)) | st.tuples(st.integers(0, 25), st.just(2)))
+    cells = st.floats(-15, 15) | st.sampled_from([np.nan, np.inf, -np.inf])
+    return thresholds, draw(hnp.arrays(np.float64, shape, elements=cells)), \
+        draw(st.sampled_from(UNKNOWN_ACTIONS))
+
+
+def assert_routes_as_reference(thresholds, X, unknown_action) -> list[Prediction]:
+    """route's classes and predict_batch's classes and traces equal the
+    reference walk's; returns the reference's predictions."""
+    m = replace(routing_model(), thresholds=thresholds)
+    want = reference_predict_batch(m, X, unknown_action)
+    class_id, proba = route(m, X, unknown_action)
+    assert class_id.dtype == np.int64
+    assert proba.shape == (len(want), m.ordering.n)
+    assert class_id.tolist() == [UNKNOWN if p.is_unknown else p.class_id for p in want]
+    got = predict_batch(m, X, unknown_action)
+    assert [p.class_id for p in got] == [p.class_id for p in want]
+    assert [p.stage_trace for p in got] == [p.stage_trace for p in want]
+    return want
 
 
 class TestOrdering:
@@ -87,6 +167,24 @@ class TestStageViews:
         o = order_classes(class_frequencies(d))
         with pytest.raises(StageOutOfRange):
             binarize_stage(d, o, 2)  # last stage needs last_stage_view
+
+    def test_ranks_match_row_lookup(self):
+        # class ids the ordering permutes, so a rank is not its class id
+        d = self._data([5, 40, 12, 40])
+        o = order_classes(class_frequencies(d))
+        ranks = np.array([o.rank_of[int(c)] for c in d.labels])  # row by row (oracle)
+        for i in range(o.n - 1):
+            v = binarize_stage(d, o, i)
+            rows = np.flatnonzero(ranks >= i)
+            assert np.array_equal(v.row_indices, rows)
+            assert np.array_equal(v.binary_labels,
+                                  (d.labels[rows] == o.class_at[i]).astype(np.int64))
+
+    def test_label_outside_ordering(self):
+        d = self._data([20, 10, 5])
+        for o in (ClassOrdering((0, 1), {0: 0, 1: 1}), ClassOrdering((5, 0, 1), {5: 0, 0: 1, 1: 2})):
+            with pytest.raises(LabelOutOfRange):
+                binarize_stage(d, o, 0)
 
     def test_row_order_preserved(self):
         d = self._data([20, 10])
@@ -253,6 +351,46 @@ class TestPredict:
         m, _ = model
         with pytest.raises(DimensionMismatch):
             predict_batch(m, np.zeros(7))
+        with pytest.raises(DimensionMismatch):
+            route(m, np.zeros((2, 7)))
+
+    def test_bad_unknown_action(self, model):
+        m, d = model
+        with pytest.raises(ValueError, match="unknown_action"):
+            route(m, d.features, "drop")
+
+    @settings(max_examples=200, deadline=None)
+    @given(routing_cases())
+    def test_matches_reference_walk(self, case):
+        assert_routes_as_reference(*case)
+
+    @pytest.mark.parametrize("unknown_action", UNKNOWN_ACTIONS)
+    def test_matches_reference_walk_at_the_edges(self, unknown_action):
+        rows = np.array([[0.0, 0.0], [np.nan, 5.0], [-9.0, np.nan], [np.inf, -np.inf]])
+        o = routing_model().ordering
+        # every row exits at stage 0 under the least positive threshold
+        want = assert_routes_as_reference([5e-324, 0.5, 0.5, 0.5], rows, unknown_action)
+        assert [len(p.stage_trace) for p in want] == [1] * len(rows)
+        # no stage accepts: every row walks them all
+        want = assert_routes_as_reference([1 - 1e-9] * 4, rows, unknown_action)
+        assert [len(p.stage_trace) for p in want] == [o.n] * len(rows)
+        assert all(p.is_unknown == (unknown_action == "emit_unknown") for p in want)
+        assert_routes_as_reference([0.5] * 4, rows[:0], unknown_action)
+        assert len(assert_routes_as_reference([0.5] * 4, rows[1], unknown_action)) == 1
+
+    def test_route_proba_ends_with_trace(self, model):
+        m, d = model
+        # the last stage's probabilities stay below 0.95: rows it sees are Unknown
+        m = replace(m, thresholds=[0.5] * (m.ordering.n - 1) + [0.95])
+        class_id, proba = route(m, d.features)
+        preds = predict_batch(m, d.features)
+        assert 0 < sum(p.is_unknown for p in preds) < len(preds)
+        for c, row, p in zip(class_id, proba, preds):
+            depth = len(p.stage_trace)
+            assert not np.isnan(row[:depth]).any()
+            assert np.isnan(row[depth:]).all()
+            assert row[:depth].tolist() == [prob for _, prob in p.stage_trace]
+            assert (c == UNKNOWN) == p.is_unknown
 
 
 class TestSerialization:

@@ -11,6 +11,9 @@ from sbcboost.errors import BundleError
 from conftest import blob_dataset
 
 
+NAN = float("nan")
+
+
 def _tree(**changes):
     """A one-split tree on feature 0, as a bundle stores it."""
     tree = {"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0], "left": [1, -1, -1],
@@ -440,12 +443,19 @@ class TestBundle:
         _bundle_text("sbc", fingerprint={"n_features": 2, "class_names": ["a"]}),
         _bundle_text("sbc", class_at=[-1, 1]),
         _bundle_text("sbc", class_at=[1, 1]),
+        _bundle_text(tree=_tree(value=[0.0, NAN, -0.1])),
+        _bundle_text(tree=_tree(threshold=[NAN, 0.0, 0.0])),
+        _bundle_text(base_score=NAN),
+        _bundle_text("sbc", tree=_tree(value=[0.0, NAN, NAN])),
+        _bundle_text("sbc", stages=[dict(_gbt_payload("binary_logistic", [[_tree()]]),
+                                         base_score=NAN)] * 2),
     ], ids=["version", "not_json", "no_kind", "no_payload", "unknown_kind", "bad_payload",
             "tree_lengths", "empty_tree", "child_before_parent", "child_out_of_range",
             "one_child", "feature_range", "huge_index", "is_leaf", "objective", "group_size",
             "threshold_range", "threshold_count", "multiclass_stage", "empty_fingerprint",
             "fingerprint_n_features", "fingerprint_class_names", "class_at_negative",
-            "class_at_repeated"])
+            "class_at_repeated", "nan_value", "nan_threshold", "nan_base_score",
+            "sbc_nan_value", "sbc_nan_base_score"])
     def test_bad_bundle_exits_5(self, tmp_path, capsys, text):
         path = tmp_path / "bundle.json"
         path.write_text(text)

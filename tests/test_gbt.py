@@ -465,6 +465,22 @@ class TestSerialization:
         with pytest.raises(ValueError):
             GbtModel.from_dict({"format_version": 99})
 
+    @pytest.mark.parametrize("X, y, w, p, threshold", [
+        ([[0], [1], [2], [3]], [0, 1, 0, 1], [1, 1, 0, 0], TestWeights.ZERO_HESSIAN_ROOT, 0.0),
+        ([[0], [1], [2], [3]], [0, 1, 0, 1], [1, 1, 0, 0],
+         GbtParams(num_rounds=1, max_depth=2, l2_lambda=0, min_child_weight=0), 0.5),
+        ([[1.0]] * 4 + [[np.inf]] * 4, [0] * 4 + [1] * 4, None,
+         GbtParams(num_rounds=2, max_depth=1), np.inf),
+    ], ids=["zero_hessian_root", "zero_hessian_cut", "inf_data"])
+    def test_edge_fits_load(self, X, y, w, p, threshold):
+        # a load rejects NaN in a value, threshold or base_score; training
+        # writes none, even at zero hessians, and an inf threshold loads
+        with np.errstate(all="ignore"):
+            m = train_binary(X, y, w, p)
+        text = json.dumps(m.to_dict())
+        assert json.dumps(GbtModel.from_dict(json.loads(text)).to_dict()) == text
+        assert m.trees[0][0].threshold[0] == threshold
+
 
 @st.composite
 def feature_matrix(draw, n, max_features=4):

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from sbcboost.errors import LabelOutOfRange, LengthMismatch
 from sbcboost.metrics import (
     UNKNOWN,
+    ClassReport,
+    ConfusionMatrix,
     confusion,
     macro_f1,
     normalize_percent,
@@ -49,6 +51,32 @@ def reference_confusion(y_true, y_pred, n, has_unknown=False):
         else:
             raise LabelOutOfRange(f"predicted label {p} out of range")
     return counts
+
+
+def reference_per_class_report(cm: ConfusionMatrix) -> list[ClassReport]:
+    """The per-class loop that per_class_report replaced (oracle)."""
+    out = []
+    for c in range(cm.n_classes):
+        tp = int(cm.counts[c, c])
+        col = int(cm.counts[:, c].sum())
+        row = int(cm.counts[c, :].sum())
+        precision = tp / col if col > 0 else 0.0
+        recall = tp / row if row > 0 else 0.0
+        f1 = 2 * precision * recall / (precision + recall) if (precision + recall) > 0 else 0.0
+        out.append(ClassReport(precision, recall, f1, row))
+    return out
+
+
+@st.composite
+def confusion_matrices(draw):
+    """Count matrices of 1 to 5 classes, with or without an Unknown column;
+    counts reach 2**40 so that the divisions round."""
+    n = draw(st.integers(1, 5))
+    has_unknown = draw(st.booleans())
+    cols = n + 1 if has_unknown else n
+    counts = draw(st.lists(st.integers(0, 2**40) | st.integers(0, 3),
+                           min_size=n * cols, max_size=n * cols))
+    return ConfusionMatrix(np.array(counts, dtype=np.int64).reshape(n, cols), n, has_unknown)
 
 
 @st.composite
@@ -148,6 +176,13 @@ class TestReport:
     def test_perfect_diagonal(self):
         cm = confusion([0, 1, 2, 2], [0, 1, 2, 2], 3)
         assert all(r.f1 == 1.0 for r in per_class_report(cm))
+
+    @settings(max_examples=300, deadline=None)
+    @given(confusion_matrices())
+    def test_matches_per_class_loop(self, cm):
+        # repr tells every float apart, -0.0 from 0.0 too, and an int support
+        # from a numpy one
+        assert repr(per_class_report(cm)) == repr(reference_per_class_report(cm))
 
     def test_against_oracle_random(self):
         rng = np.random.default_rng(7)
