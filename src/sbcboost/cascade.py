@@ -36,7 +36,6 @@ class ClassOrdering:
     """Bijection between original class ids and descending-frequency ranks."""
 
     class_at: tuple[int, ...]   # rank -> class id; class_at[0] is the majority class
-    rank_of: dict[int, int]
 
     @property
     def n(self) -> int:
@@ -132,10 +131,8 @@ class SbcModel:
     def from_dict(cls, d: dict) -> "SbcModel":
         if d.get("format_version") != 1:
             raise ValueError(f"unsupported cascade format version {d.get('format_version')!r}")
-        class_at = tuple(int(c) for c in d["class_at"])
-        ordering = ClassOrdering(class_at, {c: i for i, c in enumerate(class_at)})
         return cls(
-            ordering=ordering,
+            ordering=ClassOrdering(tuple(int(c) for c in d["class_at"])),
             stages=[GbtModel.from_dict(m) for m in d["stages"]],
             thresholds=[float(t) for t in d["thresholds"]],
             last_stage_policy=LastStagePolicy(**d["last_stage_policy"]),
@@ -151,8 +148,7 @@ def order_classes(freqs: dict[int, int]) -> ClassOrdering:
         raise TooFewClasses("need at least 2 classes")
     if any(c <= 0 for c in freqs.values()):
         raise ValueError("all class counts must be > 0")
-    class_at = tuple(sorted(freqs, key=lambda c: (-freqs[c], c)))
-    return ClassOrdering(class_at, {c: i for i, c in enumerate(class_at)})
+    return ClassOrdering(tuple(sorted(freqs, key=lambda c: (-freqs[c], c))))
 
 
 def binarize_stage(train: Dataset, o: ClassOrdering, i: int) -> StageView:

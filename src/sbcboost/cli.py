@@ -42,7 +42,7 @@ def _load_config(path: str, overrides: argparse.Namespace) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if getattr(overrides, "out", None):
         cfg["out_dir"] = overrides.out
@@ -296,23 +296,22 @@ def cmd_predict(args) -> int:
     bundle = ModelBundle.load(args.bundle)
     raw = _load_unlabeled(args.input, bundle)
     names = bundle.class_names
-    records = []
+    # every row is predicted before the output is opened, so a failing
+    # predict leaves no partial file
     if bundle.kind == "mcc":
         pred = bundle.model.predict_class(raw)
-        records = [{"row": i, "class": names[c]} for i, c in enumerate(pred)]
+        records = ({"row": i, "class": names[c]} for i, c in enumerate(pred))
     else:
-        for i, p in enumerate(casc.predict_batch(bundle.model, raw, "emit_unknown")):
-            records.append({
-                "row": i,
-                "class": "UNKNOWN" if p.is_unknown else names[p.class_id],
-                "trace": [[s, round(prob, 6)] for s, prob in p.stage_trace],
-            })
-    out = "\n".join(json.dumps(r) for r in records) + "\n"
+        pred = casc.predict_batch(bundle.model, raw, "emit_unknown")
+        records = ({"row": i, "class": "UNKNOWN" if p.is_unknown else names[p.class_id],
+                    "trace": [[s, round(prob, 6)] for s, prob in p.stage_trace]}
+                   for i, p in enumerate(pred))
+    lines = (json.dumps(r) + "\n" for r in records)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out)
+            fh.writelines(lines)
     else:
-        sys.stdout.write(out)
+        sys.stdout.writelines(lines)
     return 0
 
 
@@ -491,7 +490,7 @@ def main(argv=None) -> int:
     except SbcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return args.err_code
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -7,7 +7,9 @@ and is safe to share between workers.
 from __future__ import annotations
 
 import csv
+import itertools
 import warnings
+from array import array
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -20,6 +22,7 @@ from .errors import (
     InvalidFraction,
     MalformedRow,
     MissingLabelColumn,
+    UnreadableFile,
 )
 
 # sample weighting schemes compute_sample_weights accepts
@@ -110,20 +113,9 @@ class SplitSpec:
             raise InvalidFraction(f"test_fraction must be in (0,1), got {self.test_fraction}")
 
 
-def _read_rows(path: str) -> list[list[str]]:
-    """The file's CSV rows as cell strings, blank lines skipped."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [r for r in csv.reader(fh) if r]
-    if not rows:
-        raise EmptyDataset(path)
-    return rows
-
-
 def _parse_row(ri: int, row: list[str], columns: list[str]) -> list[float]:
     """One row under the cell rules: a blank cell, "NaN" or "nan" becomes
-    NaN; a ragged row or any other non-numeric cell raises MalformedRow."""
-    if len(row) != len(columns):
-        raise MalformedRow(ri, f"expected {len(columns)} cells, got {len(row)}")
+    NaN; any other non-numeric cell raises MalformedRow."""
     out = []
     for cell, name in zip(row, columns):
         cell = cell.strip()
@@ -134,20 +126,62 @@ def _parse_row(ri: int, row: list[str], columns: list[str]) -> list[float]:
     return out
 
 
-def _parse_features(rows: list[list[str]], columns: list[str]) -> np.ndarray:
-    """(len(rows), len(columns)) float64 matrix under _parse_row's rules."""
-    X = np.empty((len(rows), len(columns)), dtype=np.float64)
-    for ri, row in enumerate(rows):
-        try:
-            # a row whose every cell float() reads parses as _parse_row would
-            # parse it, only faster; blanks and bad cells take the slow path
-            vals = list(map(float, row))
-        except ValueError:
-            vals = None
-        if vals is None or len(vals) != len(columns):
-            vals = _parse_row(ri, row, columns)
-        X[ri] = vals
-    return X
+def _read_csv(path: str, label_column: str | None = None):
+    """One pass over a comma-delimited UTF-8 file, parsing each row as
+    csv.reader yields it: blank lines are skipped, a row's width is checked
+    once, its label cell (if any) popped and stripped, and its feature cells
+    parsed under _parse_row's rules into an 8-bytes-per-cell buffer.
+
+    Returns (features, labels, class_names, feature_names). Without a
+    label column the labels are empty, and row 0 is a header only if one of
+    its cells is neither numeric nor blank, "NaN" or "nan".
+    """
+    X, labels, class_index = array("d"), array("q"), {}
+    ri = None  # the body row last parsed, once the first row is read
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = filter(None, csv.reader(fh))
+            columns = next(rows, None)
+            if columns is None:
+                raise EmptyDataset(path)
+            width, label_idx = len(columns), None
+            if label_column is not None:
+                if label_column not in columns:
+                    raise MissingLabelColumn(f"{label_column!r} not in {columns}")
+                label_idx = columns.index(label_column)
+                columns = columns[:label_idx] + columns[label_idx + 1:]
+            else:
+                names = [str(i) for i in range(width)]
+                try:
+                    _parse_row(0, columns, names)
+                    rows, columns = itertools.chain([columns], rows), names
+                except MalformedRow:
+                    pass
+            ri = -1
+            for ri, row in enumerate(rows):
+                if len(row) != width:
+                    raise MalformedRow(ri, f"expected {width} cells, got {len(row)}")
+                if label_idx is not None:
+                    labels.append(class_index.setdefault(row.pop(label_idx).strip(),
+                                                         len(class_index)))
+                try:
+                    # a row whose every cell float() reads parses as _parse_row
+                    # would parse it, only faster; blanks and bad cells do not
+                    vals = list(map(float, row))
+                except ValueError:
+                    vals = _parse_row(ri, row, columns)
+                X.fromlist(vals)
+    except UnicodeDecodeError as exc:
+        # decoding runs a chunk ahead of the rows parsed, so no row is named
+        raise UnreadableFile(f"{path} is not UTF-8 text: {exc.reason}") from None
+    except csv.Error as exc:
+        if ri is None:
+            raise UnreadableFile(f"{path}: first row: {exc}") from None
+        raise MalformedRow(ri + 1, f"{path}: {exc}") from None
+    if ri < 0:
+        raise EmptyDataset(path)
+    features = np.frombuffer(X, dtype=np.float64).reshape(ri + 1, len(columns))
+    return features, np.frombuffer(labels, dtype=np.int64), list(class_index), columns
 
 
 def load_csv(path: str, label_column: str) -> Dataset:
@@ -157,31 +191,7 @@ def load_csv(path: str, label_column: str) -> Dataset:
     cells become NaN markers for the cleaner; any other non-numeric feature
     cell raises MalformedRow.
     """
-    rows = _read_rows(path)
-    columns, body = rows[0], rows[1:]
-
-    if label_column not in columns:
-        raise MissingLabelColumn(f"{label_column!r} not in {columns}")
-    label_idx = columns.index(label_column)
-    feature_names = [c for i, c in enumerate(columns) if i != label_idx]
-
-    if not body:
-        raise EmptyDataset(path)
-
-    class_names: list[str] = []
-    class_index: dict[str, int] = {}
-    labels = np.empty(len(body), dtype=np.int64)
-    for ri, row in enumerate(body):
-        if len(row) != len(columns):
-            raise MalformedRow(ri, f"expected {len(columns)} cells, got {len(row)}")
-        name = row.pop(label_idx).strip()
-        if name not in class_index:
-            class_index[name] = len(class_names)
-            class_names.append(name)
-        labels[ri] = class_index[name]
-
-    features = _parse_features(body, feature_names)
-    return Dataset(features, labels, class_names, feature_names)
+    return Dataset(*_read_csv(path, label_column))
 
 
 def load_features(path: str) -> np.ndarray:
@@ -190,16 +200,7 @@ def load_features(path: str) -> np.ndarray:
     Row 0 is a header only if one of its cells is neither numeric nor
     blank, "NaN" or "nan".
     """
-    rows = _read_rows(path)
-    columns = [str(i) for i in range(len(rows[0]))]
-    try:
-        _parse_row(0, rows[0], columns)
-        body = rows
-    except MalformedRow:
-        columns, body = rows[0], rows[1:]
-    if not body:
-        raise EmptyDataset(path)
-    return _parse_features(body, columns)
+    return _read_csv(path)[0]
 
 
 def export_csv(d: Dataset, path: str, label_column: str = "label") -> None:

@@ -22,6 +22,10 @@ class EmptyDataset(SbcError):
     pass
 
 
+class UnreadableFile(SbcError):
+    """A data file that is not UTF-8 text, or whose first row csv cannot split."""
+
+
 class AllRowsDropped(SbcError):
     pass
 

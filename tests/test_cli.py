@@ -2,11 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from sbcboost import cascade as casc
 from sbcboost import cli
 from sbcboost import data as ds
 from sbcboost.bundle import ModelBundle
-from sbcboost.errors import BundleError
+from sbcboost.errors import BundleError, MalformedRow, StageError
 
 from conftest import blob_dataset
 
@@ -354,6 +356,99 @@ class TestEvaluatePredict:
         assert all("trace" in r and len(r["trace"]) >= 1 for r in recs)
 
 
+    @pytest.mark.parametrize("method", ["mcc", "sbc"])
+    def test_predict_output_matches_joined_text(self, prepared, capsys, method):
+        """predict writes line by line what it once joined into one string,
+        to a file and to stdout alike."""
+        tmp_path, cfg, _ = prepared
+        cfg = dict(cfg, method=method, threshold=0.9, out_dir=str(tmp_path / method))
+        p = tmp_path / f"{method}.json"
+        p.write_text(json.dumps(cfg))
+        cli.main(["train", "--config", str(p)])
+        bundle_path = str(tmp_path / method / "bundle.json")
+        X = ds.load_csv(cfg["test_csv"], "label").features
+        unl = tmp_path / "u.csv"
+        unl.write_text("".join(",".join(map(repr, row)) + "\n" for row in X.tolist()))
+        want = reference_predict_text(ModelBundle.load(bundle_path), X)
+        if method == "sbc":
+            assert '"UNKNOWN"' in want and '"trace"' in want
+        out = tmp_path / "preds.jsonl"
+        capsys.readouterr()
+        assert cli.main(["predict", "--bundle", bundle_path, "--input", str(unl),
+                         "--out", str(out)]) == 0
+        assert out.read_bytes() == want.encode("utf-8")
+        assert cli.main(["predict", "--bundle", bundle_path, "--input", str(unl)]) == 0
+        assert capsys.readouterr().out == want
+
+    def test_failed_predict_writes_no_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "bundle.json"
+        path.write_text(_bundle_text("sbc"))
+        rows = tmp_path / "rows.csv"
+        rows.write_text("0.0,2.0\n1.0,2.0\n")
+
+        def fail(*args, **kwargs):
+            raise StageError(0, "cannot route")
+
+        monkeypatch.setattr(cli.casc, "predict_batch", fail)
+        out = tmp_path / "preds.jsonl"
+        rc = cli.main(["predict", "--bundle", str(path), "--input", str(rows), "--out", str(out)])
+        assert rc == cli.EXIT_EVAL
+        assert not out.exists()
+
+
+def reference_predict_text(bundle, X):
+    """predict's output as cmd_predict built it before it streamed: every
+    record in a list, then one joined string."""
+    names = bundle.class_names
+    records = []
+    if bundle.kind == "mcc":
+        pred = bundle.model.predict_class(X)
+        records = [{"row": i, "class": names[c]} for i, c in enumerate(pred)]
+    else:
+        for i, p in enumerate(casc.predict_batch(bundle.model, X, "emit_unknown")):
+            records.append({
+                "row": i,
+                "class": "UNKNOWN" if p.is_unknown else names[p.class_id],
+                "trace": [[s, round(prob, 6)] for s, prob in p.stage_trace],
+            })
+    return "\n".join(json.dumps(r) for r in records) + "\n"
+
+
+class TestUnreadableInput:
+    """Files the reader cannot decode or split, and paths it cannot open,
+    end in a data error's exit code rather than a traceback."""
+
+    def test_csv_not_utf8(self, tmp_path, capsys):
+        raw = tmp_path / "raw.csv"
+        raw.write_bytes(b"f0,label\n1.0,a\n2.0,\xff\xfe\n")
+        rc = cli.main(["prepare", "--input", str(raw), "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_DATA
+        assert "raw.csv is not UTF-8" in capsys.readouterr().err
+
+    def test_field_over_csv_limit(self, tmp_path, capsys):
+        raw = tmp_path / "raw.csv"
+        raw.write_text('f0,label\n1.0,a\n"' + "9" * 131073 + '",b\n')
+        with pytest.raises(MalformedRow) as exc:
+            ds.load_csv(str(raw), "label")
+        assert exc.value.row_index == 1
+        rc = cli.main(["prepare", "--input", str(raw), "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_DATA
+        assert "raw.csv" in capsys.readouterr().err
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        p.write_bytes(b'{"train_csv": "\xff.csv"}')
+        assert cli.main(["train", "--config", str(p)]) == cli.EXIT_CONFIG
+        assert "cannot read config" in capsys.readouterr().err
+
+    def test_input_is_a_directory(self, tmp_path, capsys):
+        path = tmp_path / "bundle.json"
+        path.write_text(_bundle_text())
+        rc = cli.main(["predict", "--bundle", str(path), "--input", str(tmp_path)])
+        assert rc == cli.EXIT_DATA
+        assert "data error" in capsys.readouterr().err
+
+
 class TestBenchmark:
     def test_two_columns(self, prepared, capsys):
         tmp_path, cfg, cfg_path = prepared
@@ -498,3 +593,61 @@ class TestBundle:
             bundle.save(str(out / "bundle.json"))
         assert (out / "bundle.json").read_bytes() == before
         assert not list(out.glob("*.tmp"))
+
+
+# A fuzz CSV starts valid: two feature columns of numbers (plus a label for
+# prepare), then takes up to four mutations. The bad pieces are cells that do
+# not parse, bytes that are not UTF-8, NUL, a quoted field over csv's
+# 131072-character limit, and quoted cells holding a comma or a newline.
+FUZZ_NUMBERS = [b"1.0", b"-2", b"0", b"3.5", b"7", b"1e308", b"-1e308", b"inf", b"nan"]
+FUZZ_CELLS = [b"", b" ", b"1e400", b"9" * 400, b"abc", b"label", b"\xff\xfe", b"\x00",
+              b'"' + b"9" * 131073 + b'"', b'"1,5"', b'"x\ny"', b'"q""q"']
+FUZZ_HEADERS = [[b"label"], [b"f0", b"f0", b"label"], [b"f0", b"label", b"label"],
+                [b'"f0"', b"f1", b'"la""bel"'], [b"1.0", b"2.0"], []]
+
+
+@st.composite
+def fuzz_csv(draw, labeled):
+    number = st.sampled_from(FUZZ_NUMBERS)
+    rows = draw(st.lists(st.lists(number, min_size=2, max_size=2), min_size=1, max_size=8))
+    lines = [[b"f0", b"f1"]] + rows
+    if labeled:
+        lines = [line + [name] for line, name in
+                 zip(lines, [b"label"] + draw(st.lists(st.sampled_from([b"a", b"b", b" a"]),
+                                                       min_size=len(rows), max_size=len(rows))))]
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(["cell", "drop", "extra", "blank", "header", "bytes"]))
+        if kind == "cell" and lines[i]:
+            lines[i][draw(st.integers(0, len(lines[i]) - 1))] = draw(st.sampled_from(FUZZ_CELLS))
+        elif kind == "drop":
+            lines[i] = lines[i][:-1]
+        elif kind == "extra":
+            lines[i] = lines[i] + [draw(number)]
+        elif kind == "blank":
+            lines.insert(i, [])
+        elif kind == "header":
+            lines[0] = list(draw(st.sampled_from(FUZZ_HEADERS)))
+        else:
+            lines.insert(i, [draw(st.binary(max_size=12))])
+    end = draw(st.sampled_from([b"\n", b"\r\n"]))
+    return end.join(b",".join(line) for line in lines) + end
+
+
+class TestCliFuzz:
+    @given(data=st.data(), command=st.sampled_from(["prepare", "mcc", "sbc"]))
+    @settings(max_examples=200, deadline=2000,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    def test_mutated_csv_exits_with_a_code(self, tmp_path_factory, data, command):
+        """prepare, and predict on a two-feature bundle, end every mutated
+        CSV with a documented exit code; no exception escapes."""
+        d = tmp_path_factory.mktemp("fuzz")
+        path = d / "in.csv"
+        path.write_bytes(data.draw(fuzz_csv(labeled=command == "prepare")))
+        if command == "prepare":
+            argv = ["prepare", "--input", str(path), "--out", str(d / "out")]
+        else:
+            (d / "bundle.json").write_text(_bundle_text(command))
+            argv = ["predict", "--bundle", str(d / "bundle.json"), "--input", str(path),
+                    "--out", str(d / "preds.jsonl")]
+        assert cli.main(argv) in (0, 2, 3, 4, 5)

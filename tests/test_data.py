@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,7 +62,8 @@ class TestLoadCsv:
 
 
 def reference_features(path, label_column):
-    """load_csv's feature matrix as its earlier cell-by-cell loop read it."""
+    """load_csv's feature matrix as its earlier cell-by-cell loop read it.
+    The first bad row in file order, ragged or not, raises MalformedRow."""
     with open(path, newline="", encoding="utf-8") as fh:
         rows = [r for r in csv.reader(fh) if r]
     columns, body = rows[0], rows[1:]
@@ -86,8 +88,90 @@ def reference_features(path, label_column):
     return features
 
 
+# The readers before they streamed: each held the whole file as strings, and
+# load_csv checked every row's width in its label loop before it parsed a cell.
+
+
+def _reference_rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = [r for r in csv.reader(fh) if r]
+    if not rows:
+        raise EmptyDataset(path)
+    return rows
+
+
+def _reference_parse_row(ri, row, columns):
+    if len(row) != len(columns):
+        raise MalformedRow(ri, f"expected {len(columns)} cells, got {len(row)}")
+    out = []
+    for cell, name in zip(row, columns):
+        cell = cell.strip()
+        try:
+            out.append(float(cell or "nan"))
+        except ValueError:
+            raise MalformedRow(ri, f"non-numeric cell {cell!r} in column {name!r}") from None
+    return out
+
+
+def _reference_parse_features(rows, columns):
+    X = np.empty((len(rows), len(columns)), dtype=np.float64)
+    for ri, row in enumerate(rows):
+        try:
+            vals = list(map(float, row))
+        except ValueError:
+            vals = None
+        if vals is None or len(vals) != len(columns):
+            vals = _reference_parse_row(ri, row, columns)
+        X[ri] = vals
+    return X
+
+
+def reference_load_csv(path, label_column):
+    rows = _reference_rows(path)
+    columns, body = rows[0], rows[1:]
+    if label_column not in columns:
+        raise MissingLabelColumn(f"{label_column!r} not in {columns}")
+    label_idx = columns.index(label_column)
+    feature_names = [c for i, c in enumerate(columns) if i != label_idx]
+    if not body:
+        raise EmptyDataset(path)
+    class_names, class_index = [], {}
+    labels = np.empty(len(body), dtype=np.int64)
+    for ri, row in enumerate(body):
+        if len(row) != len(columns):
+            raise MalformedRow(ri, f"expected {len(columns)} cells, got {len(row)}")
+        name = row.pop(label_idx).strip()
+        if name not in class_index:
+            class_index[name] = len(class_names)
+            class_names.append(name)
+        labels[ri] = class_index[name]
+    return ds.Dataset(_reference_parse_features(body, feature_names), labels, class_names,
+                      feature_names)
+
+
+def reference_load_features(path):
+    rows = _reference_rows(path)
+    columns = [str(i) for i in range(len(rows[0]))]
+    try:
+        _reference_parse_row(0, rows[0], columns)
+        body = rows
+    except MalformedRow:
+        columns, body = rows[0], rows[1:]
+    if not body:
+        raise EmptyDataset(path)
+    return _reference_parse_features(body, columns)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 CELLS = ["", " ", "NaN", "nan", " nan ", "-nan", "NAN", "1.5", " -2 ", "1e400", "-inf",
          "1_0", "0.1", "abc", "0x1"]
+GOOD_CELLS = CELLS[:-2]
+# what a fault does to a row: drop or add a cell, or put a bad cell in it
+FAULTS = ["drop", "extra", "abc", "1,5", "2\n3"]
+LABELS = ["x", " x ", "y,z", "two\nlines", 'say "hi"', ""]
 
 
 class TestCellRules:
@@ -121,8 +205,102 @@ class TestCellRules:
             return
         for got in (ds.load_csv(str(labeled), "label").features,
                     ds.load_features(str(unlabeled))):
-            assert got.shape == expect.shape
-            assert np.array_equal(got.view(np.int64), expect.view(np.int64))
+            assert _same_bits(got, expect)
+
+    @given(
+        rows=st.lists(st.lists(st.sampled_from(GOOD_CELLS), min_size=3, max_size=3),
+                      min_size=1, max_size=6),
+        faults=st.lists(st.tuples(st.integers(0, 5), st.sampled_from(FAULTS)), max_size=2),
+        blanks=st.lists(st.integers(0, 6), max_size=2),
+        labels=st.lists(st.sampled_from(LABELS), min_size=6, max_size=6),
+        label_at=st.integers(0, 3),
+        quoting=st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]),
+        header=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_rows_match_reference_readers(self, tmp_path_factory, rows, faults, blanks,
+                                          labels, label_at, quoting, header):
+        """Ragged rows, blank lines, quoted cells holding commas or newlines
+        and the label at any position: both readers return what the old
+        ones did, or fail at the same row. load_csv names the first bad row
+        in file order, as reference_features does."""
+        for i, fault in faults:
+            if i < len(rows):
+                row = rows[i]
+                rows[i] = {"drop": row[:-1], "extra": row + ["1"]}.get(
+                    fault, row[:1] + [fault] + row[2:])
+        lines_l = [row[:label_at] + [name] + row[label_at:] for row, name in zip(rows, labels)]
+        lines_u = list(rows)
+        for at in sorted(blanks, reverse=True):
+            lines_l.insert(at, [])
+            lines_u.insert(at, [])
+        d = tmp_path_factory.mktemp("rows")
+        labeled, unlabeled = str(d / "l.csv"), str(d / "u.csv")
+        names = ["a", "b", "c"]
+        for path, head, lines in ((labeled, names[:label_at] + ["label"] + names[label_at:],
+                                   lines_l), (unlabeled, names if header else None, lines_u)):
+            with open(path, "w", newline="") as fh:
+                writer = csv.writer(fh, quoting=quoting)
+                if head:
+                    writer.writerow(head)
+                writer.writerows(lines)
+
+        try:
+            want = reference_load_csv(labeled, "label")
+        except MalformedRow:
+            with pytest.raises(MalformedRow) as first:
+                reference_features(labeled, "label")
+            with pytest.raises(MalformedRow) as got:
+                ds.load_csv(labeled, "label")
+            assert got.value.row_index == first.value.row_index
+        else:
+            got = ds.load_csv(labeled, "label")
+            assert _same_bits(got.features, want.features)
+            assert got.labels.tolist() == want.labels.tolist()
+            assert got.class_names == want.class_names
+            assert got.feature_names == want.feature_names
+
+        try:
+            want_u = reference_load_features(unlabeled)
+        except (MalformedRow, EmptyDataset) as exc:
+            with pytest.raises(type(exc)) as got:
+                ds.load_features(unlabeled)
+            assert getattr(got.value, "row_index", None) == getattr(exc, "row_index", None)
+        else:
+            assert _same_bits(ds.load_features(unlabeled), want_u)
+
+    def test_first_bad_row_in_file_order(self, tmp_path):
+        # the old load_csv checked every width first, so it named row 2
+        p = tmp_path / "order.csv"
+        p.write_text("f0,f1,label\n1,2,a\nxyz,2,a\n1,2\n")
+        with pytest.raises(MalformedRow) as exc:
+            ds.load_csv(str(p), "label")
+        assert exc.value.row_index == 1
+
+
+class TestReaderMemory:
+    def test_peak_within_twice_the_matrix(self, tmp_path):
+        """Neither reader holds the file as strings: tracemalloc's peak is
+        at most twice the bytes of the matrix it returns."""
+        X = np.round(np.random.default_rng(0).random((20_000, 40)) * 1000, 3)
+        text = "\n".join(",".join(map(repr, row)) for row in X.tolist())
+        labels = [f"class{i % 7}" for i in range(len(X))]
+        labeled, unlabeled = tmp_path / "l.csv", tmp_path / "u.csv"
+        header = ",".join(f"f{j}" for j in range(X.shape[1]))
+        unlabeled.write_text(header + "\n" + text + "\n")
+        labeled.write_text(header + ",label\n" + "\n".join(
+            f"{line},{name}" for line, name in zip(text.split("\n"), labels)) + "\n")
+        del text
+        for read in (lambda: ds.load_csv(str(labeled), "label").features,
+                     lambda: ds.load_features(str(unlabeled))):
+            tracemalloc.start()
+            try:
+                got = read()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert _same_bits(got, X)
+            assert peak <= 2 * got.nbytes, peak / got.nbytes
 
 
 class TestClean:
