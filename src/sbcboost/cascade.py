@@ -72,8 +72,8 @@ class LastStagePolicy:
     def __post_init__(self):
         if self.source not in ("majority_only", "all_others"):
             raise ValueError(f"bad last-stage source {self.source!r}")
-        if self.negatives_per_positive <= 0:
-            raise ValueError("negatives_per_positive must be > 0")
+        if not 0 < self.negatives_per_positive < np.inf:
+            raise ValueError("negatives_per_positive must be finite and > 0")
 
 
 @dataclass

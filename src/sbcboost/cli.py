@@ -31,11 +31,24 @@ EXIT_DATA = 3
 EXIT_TRAIN = 4
 EXIT_EVAL = 5
 
+METHODS = ("mcc", "sbc")
+HPO_MODES = ("fixed", "gs", "hgs", "phgs")
+
 DEFAULT_GRID = {
     "max_depth": {"values": [2, 4, 6], "prune": "upper_bound"},
     "num_rounds": {"values": [20, 50], "prune": "upper_bound"},
     "learning_rate": {"values": [0.1, 0.3], "prune": "unpruned"},
 }
+
+# the flags that override a config key: (argparse dest, config key)
+FLAG_KEYS = (("out", "out_dir"), ("weights", "weights"), ("grid", "grid_file"),
+             ("unknown_action", "unknown_action"))
+
+# config keys that must hold strings: open() takes an int as a file descriptor
+STRING_KEYS = ("train_csv", "test_csv", "grid_file", "out_dir", "label_column")
+
+# the timing rows train and benchmark print: (label, timings key)
+TIME_ROWS = (("HPO time", "hpo_s"), ("Train time", "train_s"), ("Test time", "test_s"))
 
 
 def _load_config(path: str, overrides: argparse.Namespace) -> dict:
@@ -44,24 +57,24 @@ def _load_config(path: str, overrides: argparse.Namespace) -> dict:
             cfg = json.load(fh)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if getattr(overrides, "out", None):
-        cfg["out_dir"] = overrides.out
-    if getattr(overrides, "weights", None):
-        cfg["weights"] = overrides.weights
-    if getattr(overrides, "grid", None):
-        cfg["grid_file"] = overrides.grid
-    if getattr(overrides, "unknown_action", None):
-        cfg["unknown_action"] = overrides.unknown_action
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} must hold a JSON object, got {cfg!r}")
+    for flag, key in FLAG_KEYS:
+        if getattr(overrides, flag, None):
+            cfg[key] = getattr(overrides, flag)
+    for key in STRING_KEYS:
+        if key in cfg and not isinstance(cfg[key], str):
+            raise ConfigError(f"{key} must be a string, got {cfg[key]!r}")
     return cfg
 
 
 def _validate_config(cfg: dict) -> None:
     method = cfg.get("method", "mcc")
     hpo_mode = cfg.get("hpo", "fixed")
-    if method not in ("mcc", "sbc"):
+    if method not in METHODS:
         raise ConfigError(f"method must be mcc or sbc, got {method!r}")
-    if hpo_mode not in ("fixed", "gs", "hgs", "phgs"):
-        raise ConfigError(f"hpo must be one of fixed/gs/hgs/phgs, got {hpo_mode!r}")
+    if hpo_mode not in HPO_MODES:
+        raise ConfigError(f"hpo must be one of {'/'.join(HPO_MODES)}, got {hpo_mode!r}")
     if hpo_mode == "phgs" and method != "sbc":
         raise ConfigError("hpo=phgs requires method=sbc")
     if hpo_mode == "fixed" and "params" not in cfg:
@@ -76,13 +89,15 @@ def _validate_config(cfg: dict) -> None:
         raise ConfigError(f"threshold must be a number in (0, 1), got {threshold!r}")
 
 
-def _check_ints(obj):
+def _check_fields(obj):
     """JSON gives 2.5 as readily as 2: a dataclass field declared int must
-    hold an int."""
+    hold an int, and a seed a non-negative one, as numpy's generators ask."""
     for f in dataclasses.fields(obj):
         value = getattr(obj, f.name)
         if f.type == "int" and type(value) is not int:
             raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        if f.name == "seed" and value < 0:
+            raise ValueError(f"seed must be >= 0, got {value!r}")
     return obj
 
 
@@ -90,7 +105,7 @@ def _from_section(cfg: dict, key: str, build, default=None):
     """``build`` applied to the config's ``key`` section; a bad key or value
     there is a ConfigError rather than a traceback."""
     try:
-        return _check_ints(build(cfg.get(key, {} if default is None else default)))
+        return _check_fields(build(cfg.get(key, {} if default is None else default)))
     except (OSError, TypeError, ValueError, KeyError, AttributeError) as exc:
         raise ConfigError(f"bad {key}: {exc}") from exc
 
@@ -99,7 +114,7 @@ def _checked_grid(grid: hpo.HpGrid) -> hpo.HpGrid:
     """Every grid name must be a GbtParams field and every value valid for it."""
     for name, values in grid.values.items():
         for v in values:
-            _check_ints(GbtParams(**{name: v}))
+            _check_fields(GbtParams(**{name: v}))
     return grid
 
 
@@ -140,8 +155,8 @@ def _load_test(path: str, label_column: str, n_features: int,
 
 
 def _train_one(cfg: dict, train: ds.Dataset):
-    """Train per the method/hpo selection; returns (bundle_kind, model,
-    hpo_results, timings dict)."""
+    """Train per the method/hpo selection; returns (model, hpo_results,
+    timings dict)."""
     method = cfg.get("method", "mcc")
     hpo_mode = cfg.get("hpo", "fixed")
     weights = cfg.get("weights", "none")
@@ -166,7 +181,7 @@ def _train_one(cfg: dict, train: ds.Dataset):
         t0 = time.perf_counter()
         model = train_multiclass(train.features, train.labels, w, params)
         timings["train_s"] = time.perf_counter() - t0
-        return "mcc", model, results, timings
+        return model, results, timings
 
     # sbc
     ordering = casc.order_classes(ds.class_frequencies(train))
@@ -175,14 +190,14 @@ def _train_one(cfg: dict, train: ds.Dataset):
         t0 = time.perf_counter()
         model = casc.train_cascade(train, ordering, base_params, weights, policy, threshold)
         timings["train_s"] = time.perf_counter() - t0
-        return "sbc", model, [], timings
+        return model, [], timings
 
     model, results = hpo.phgs_cascade(
         train, ordering, grid, cv, hc, weights, policy, base_params, threshold
     )
     timings["hpo_s"] = sum(r.wall_clock for r in results)
     timings["train_s"] = sum(m.train_seconds for m in model.metadata)
-    return "sbc", model, results, timings
+    return model, results, timings
 
 
 def _score(bundle: ModelBundle, test: ds.Dataset, unknown_action: str, timings: dict):
@@ -256,11 +271,11 @@ def cmd_train(args) -> int:
         raise ConfigError("tune requires hpo of gs, hgs or phgs")
     _validate_config(cfg)
     train = _load_train(cfg)
-    kind, model, results, timings = _train_one(cfg, train)
+    model, results, timings = _train_one(cfg, train)
 
     out_dir = cfg.get("out_dir", ".")
     os.makedirs(out_dir, exist_ok=True)
-    bundle = ModelBundle(kind, model, cfg, dataset_fingerprint(train))
+    bundle = ModelBundle(cfg.get("method", "mcc"), model, cfg, dataset_fingerprint(train))
     bundle_path = os.path.join(out_dir, "bundle.json")
     bundle.save(bundle_path)
     for i, r in enumerate(results):
@@ -273,12 +288,10 @@ def cmd_train(args) -> int:
             bundle, test, cfg.get("unknown_action", "assign_last_class"), timings, out_dir
         )
         timings = summary.timings
-        print(f"Accuracy    {summary.accuracy:.4f}")
-        print(f"Average F1  {summary.avg_f1:.4f}")
-        print(f"Std-dev F1  {summary.std_f1:.4f}")
-    print(f"HPO time    {timings.get('hpo_s', 0.0):.3f}")
-    print(f"Train time  {timings.get('train_s', 0.0):.3f}")
-    print(f"Test time   {timings.get('test_s', 0.0):.3f}")
+        for label, key in metrics.QUALITY_ROWS:
+            print(f"{label:12s}{getattr(summary, key):.4f}")
+    for label, key in TIME_ROWS:
+        print(f"{label:12s}{timings.get(key, 0.0):.3f}")
     print(f"bundle written to {bundle_path}")
     return 0
 
@@ -323,25 +336,15 @@ def _load_unlabeled(path: str, bundle: ModelBundle) -> np.ndarray:
     return X
 
 
-METHOD_COLUMNS = {
-    "fixed": ("fixed", "none"),
-    "gs": ("gs", "none"),
-    "gs+weights": ("gs", "inverse_frequency"),
-    "hgs": ("hgs", "none"),
-    "hgs+weights": ("hgs", "inverse_frequency"),
-    "phgs": ("phgs", "none"),
-    "phgs+weights": ("phgs", "inverse_frequency"),
-}
-
-
 def _parse_method(token: str):
-    parts = token.strip().lower().split("+", 1)
-    method = parts[0]
-    rest = parts[1] if len(parts) > 1 else "fixed"
-    if method not in ("mcc", "sbc") or rest not in METHOD_COLUMNS:
+    """A method column (any case, outer spaces ignored): mcc or sbc, then
+    nothing or +fixed, or +gs, +hgs or +phgs with an optional +weights."""
+    method, *rest = token.strip().lower().split("+")
+    hpo_mode, *weights = rest or ["fixed"]
+    if (method not in METHODS or hpo_mode not in HPO_MODES
+            or weights not in ([], ["weights"]) or weights and hpo_mode == "fixed"):
         raise ConfigError(f"bad method column {token!r}")
-    hpo_mode, weights = METHOD_COLUMNS[rest]
-    return method, hpo_mode, weights
+    return method, hpo_mode, "inverse_frequency" if weights else "none"
 
 
 def cmd_benchmark(args) -> int:
@@ -356,7 +359,6 @@ def cmd_benchmark(args) -> int:
     test = _load_test(cfg["test_csv"], cfg.get("label_column", "label"),
                       train.n_features, train.class_names)
     freqs = ds.class_frequencies(train)
-    ordering = casc.order_classes(freqs)
     test_counts = np.bincount(test.labels, minlength=train.n_classes)
 
     columns = {}
@@ -368,8 +370,8 @@ def cmd_benchmark(args) -> int:
             run_cfg.setdefault("params", {})
         _validate_config(run_cfg)
         try:
-            kind, model, _, timings = _train_one(run_cfg, train)
-            bundle = ModelBundle(kind, model, run_cfg, dataset_fingerprint(train))
+            model, _, timings = _train_one(run_cfg, train)
+            bundle = ModelBundle(method, model, run_cfg, dataset_fingerprint(train))
             _, _, columns[token] = _score(
                 bundle, test, run_cfg.get("unknown_action", "assign_last_class"), timings
             )
@@ -378,36 +380,17 @@ def cmd_benchmark(args) -> int:
         except SbcError as exc:
             failures[token] = str(exc)
 
-    # rows: classes in descending train frequency, then summary/timing rows
-    row_labels = []
-    for rank in range(ordering.n):
-        c = ordering.class_at[rank]
-        row_labels.append(f"{train.class_names[c]} | {freqs[c]} | {int(test_counts[c])}")
-    lines = []
-    header = ["class ( name | train | test )"] + methods
-    lines.append("\t".join(header))
-    for rank in range(ordering.n):
-        c = ordering.class_at[rank]
-        cells = [row_labels[rank]]
-        for token in methods:
-            if token in columns:
-                cells.append(f"{columns[token].per_class[c].f1:.4f}")
-            else:
-                cells.append("FAILED")
-        lines.append("\t".join(cells))
-    summary_rows = [
-        ("Accuracy", lambda s: f"{s.accuracy:.4f}"),
-        ("Average F1", lambda s: f"{s.avg_f1:.4f}"),
-        ("Std-dev F1", lambda s: f"{s.std_f1:.4f}"),
-        ("HPO time", lambda s: f"{s.timings.get('hpo_s', 0.0):.3f}"),
-        ("Train time", lambda s: f"{s.timings.get('train_s', 0.0):.3f}"),
-        ("Test time", lambda s: f"{s.timings.get('test_s', 0.0):.3f}"),
-    ]
-    for label, fmt in summary_rows:
-        cells = [label]
-        for token in methods:
-            cells.append(fmt(columns[token]) if token in columns else "FAILED")
-        lines.append("\t".join(cells))
+    # rows: classes in descending train frequency, then summary and timing
+    # rows, each a (label, cell of a column's EvalSummary) pair
+    rows = [(f"{train.class_names[c]} | {freqs[c]} | {int(test_counts[c])}",
+             lambda s, c=c: f"{s.per_class[c].f1:.4f}")
+            for c in casc.order_classes(freqs).class_at]
+    rows += [(label, lambda s, k=key: f"{getattr(s, k):.4f}")
+             for label, key in metrics.QUALITY_ROWS]
+    rows += [(label, lambda s, k=key: f"{s.timings.get(k, 0.0):.3f}") for label, key in TIME_ROWS]
+    lines = ["\t".join(["class ( name | train | test )"] + methods)]
+    lines += ["\t".join([label] + [cell(columns[t]) if t in columns else "FAILED" for t in methods])
+              for label, cell in rows]
     table = "\n".join(lines) + "\n"
 
     out_dir = cfg.get("out_dir", ".")
@@ -469,7 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", required=True,
                    help="comma list, e.g. mcc+gs,sbc+hgs+weights,sbc+phgs")
     p.add_argument("--out")
-    p.add_argument("--weights", choices=ds.WEIGHT_SCHEMES)
     p.add_argument("--grid")
     p.add_argument("--unknown-action", choices=casc.UNKNOWN_ACTIONS)
     p.set_defaults(func=cmd_benchmark, err_code=EXIT_TRAIN)

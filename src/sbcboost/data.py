@@ -204,13 +204,16 @@ def load_features(path: str) -> np.ndarray:
 
 
 def export_csv(d: Dataset, path: str, label_column: str = "label") -> None:
-    """Write a Dataset back out in the canonical CSV form load_csv accepts."""
+    """Write a Dataset back out in the canonical CSV form load_csv accepts.
+
+    csv writes each float as its repr; rows are converted one at a time, so
+    the matrix is never held as Python floats."""
+    names = d.class_names
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(d.feature_names + [label_column])
-        for i in range(d.n_rows):
-            cells = [repr(float(v)) for v in d.features[i]]
-            writer.writerow(cells + [d.class_names[d.labels[i]]])
+        writer.writerows(row.tolist() + [names[c]]
+                         for row, c in zip(d.features, d.labels.tolist()))
 
 
 def clean(d: Dataset, p: CleaningPolicy) -> tuple[Dataset, CleaningReport]:
@@ -330,8 +333,8 @@ def align_to(d: Dataset, class_names: list[str]) -> Dataset:
     extra = [c for c in d.class_names if c not in index]
     if extra:
         raise FingerprintMismatch(f"dataset classes {extra} unknown to bundle")
-    labels = np.array([index[d.class_names[c]] for c in d.labels], dtype=np.int64)
-    return Dataset(d.features, labels, list(class_names), list(d.feature_names))
+    lookup = np.array([index[name] for name in d.class_names], dtype=np.int64)
+    return Dataset(d.features, lookup[d.labels], list(class_names), list(d.feature_names))
 
 
 def class_frequencies(d: Dataset) -> dict[int, int]:
@@ -352,9 +355,6 @@ def compute_sample_weights(labels: np.ndarray, scheme: str = "none") -> np.ndarr
         raise ValueError(f"unknown weighting scheme {scheme!r}")
     if scheme == "none":
         return np.ones(labels.size, dtype=np.float64)
-    classes, counts = np.unique(labels, return_counts=True)
-    n_total = labels.size
-    k = classes.size
-    per_class = n_total / (k * counts.astype(np.float64))
-    lookup = dict(zip(classes.tolist(), per_class.tolist()))
-    return np.array([lookup[c] for c in labels.tolist()], dtype=np.float64)
+    classes, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    per_class = labels.size / (classes.size * counts.astype(np.float64))
+    return per_class[inverse]

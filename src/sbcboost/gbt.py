@@ -43,10 +43,10 @@ class GbtParams:
             raise ValueError("learning_rate must be in (0,1]")
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
-        if self.min_child_weight < 0:
-            raise ValueError("min_child_weight must be >= 0")
-        if self.l2_lambda < 0:
-            raise ValueError("l2_lambda must be >= 0")
+        if not 0 <= self.min_child_weight < np.inf:
+            raise ValueError("min_child_weight must be finite and >= 0")
+        if not 0 <= self.l2_lambda < np.inf:
+            raise ValueError("l2_lambda must be finite and >= 0")
         if not (0.0 < self.subsample <= 1.0):
             raise ValueError("subsample must be in (0,1]")
 

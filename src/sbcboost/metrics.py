@@ -15,6 +15,9 @@ from .errors import LabelOutOfRange, LengthMismatch
 
 UNKNOWN = -1  # sentinel prediction label for rows rejected by every stage
 
+# the quality rows every summary prints: (label, EvalSummary field)
+QUALITY_ROWS = (("Accuracy", "accuracy"), ("Average F1", "avg_f1"), ("Std-dev F1", "std_f1"))
+
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
@@ -137,9 +140,7 @@ def format_summary(summary: EvalSummary, class_names: list[str]) -> str:
     for name, r in zip(class_names, summary.per_class):
         lines.append(f"{name:30s} {r.precision:9.4f} {r.recall:9.4f} {r.f1:9.4f} {r.support:8d}")
     lines.append("")
-    lines.append(f"Accuracy    {summary.accuracy:.4f}")
-    lines.append(f"Average F1  {summary.avg_f1:.4f}")
-    lines.append(f"Std-dev F1  {summary.std_f1:.4f}")
+    lines += [f"{label:12s}{getattr(summary, key):.4f}" for label, key in QUALITY_ROWS]
     for key in ("hpo_s", "train_s", "test_s"):
         if key in summary.timings:
             lines.append(f"{key:11s} {summary.timings[key]:.3f}")

@@ -1,4 +1,9 @@
+import itertools
 import json
+import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,12 +13,13 @@ from sbcboost import cascade as casc
 from sbcboost import cli
 from sbcboost import data as ds
 from sbcboost.bundle import ModelBundle
-from sbcboost.errors import BundleError, MalformedRow, StageError
+from sbcboost.errors import BundleError, ConfigError, MalformedRow, StageError
 
 from conftest import blob_dataset
 
 
 NAN = float("nan")
+INF = float("inf")
 
 
 def _tree(**changes):
@@ -450,6 +456,15 @@ class TestUnreadableInput:
 
 
 class TestBenchmark:
+    def test_no_weights_flag(self, prepared, capsys):
+        """Each column takes its weights from its token alone."""
+        _, _, cfg_path = prepared
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["benchmark", "--config", str(cfg_path), "--methods", "mcc+fixed",
+                      "--weights", "none"])
+        assert exc.value.code == 2
+        assert "--weights" in capsys.readouterr().err
+
     def test_two_columns(self, prepared, capsys):
         tmp_path, cfg, cfg_path = prepared
         rc = cli.main([
@@ -651,3 +666,284 @@ class TestCliFuzz:
             argv = ["predict", "--bundle", str(d / "bundle.json"), "--input", str(path),
                     "--out", str(d / "preds.jsonl")]
         assert cli.main(argv) in (0, 2, 3, 4, 5)
+
+
+def _mask_times(text):
+    """``text`` with the digits of its timing rows masked: wall times vary."""
+    return re.sub(r"(?m)^((?:HPO|Train|Test) time|hpo_s|train_s|test_s)\b(.*)$",
+                  lambda m: m.group(1) + re.sub(r"\d", "#", m.group(2)), text)
+
+
+@pytest.fixture
+def noisy(prepared):
+    """``prepared`` with overlapping classes, so that F1 varies by column."""
+    tmp_path, cfg, cfg_path = prepared
+    train, test = ds.stratified_split(blob_dataset([200, 60, 20], seed=21, scale=5.0),
+                                      ds.SplitSpec(0.2, seed=1))
+    ds.export_csv(train, cfg["train_csv"])
+    ds.export_csv(test, cfg["test_csv"])
+    return tmp_path, cfg, cfg_path
+
+
+BENCHMARK_TSV = """\
+class ( name | train | test )\tmcc+fixed\tsbc+fixed\tsbc+phgs\t sbc+hgs+weights
+class0 | 160 | 40\t0.9398\t0.9500\tFAILED\tFAILED
+class1 | 48 | 12\t0.7826\t0.8462\tFAILED\tFAILED
+class2 | 16 | 4\t0.6667\t0.6667\tFAILED\tFAILED
+Accuracy\t0.8929\t0.9107\tFAILED\tFAILED
+Average F1\t0.7963\t0.8209\tFAILED\tFAILED
+Std-dev F1\t0.1119\t0.1170\tFAILED\tFAILED
+HPO time\t#.###\t#.###\tFAILED\tFAILED
+Train time\t#.###\t#.###\tFAILED\tFAILED
+Test time\t#.###\t#.###\tFAILED\tFAILED
+"""
+
+BENCHMARK_STDERR = """\
+FAILED sbc+phgs: stage 1: fold 16 degenerate: validation part has a single class
+FAILED  sbc+hgs+weights: stage 1: fold 16 degenerate: validation part has a single class
+"""
+
+TRAIN_STDOUT = """\
+Accuracy    0.8929
+Average F1  0.7963
+Std-dev F1  0.1119
+HPO time    #.###
+Train time  #.###
+Test time   #.###
+bundle written to {out}/bundle.json
+"""
+
+TRAIN_SUMMARY = """\
+class                          precision    recall        f1  support
+class0                            0.9070    0.9750    0.9398       40
+class2                            1.0000    0.5000    0.6667        4
+class1                            0.8182    0.7500    0.7826       12
+
+Accuracy    0.8929
+Average F1  0.7963
+Std-dev F1  0.1119
+hpo_s       #.###
+train_s     #.###
+test_s      #.###
+"""
+
+
+class TestPinnedText:
+    """benchmark's table and train's report, as text, timing digits masked."""
+
+    def test_benchmark_with_failed_columns(self, noisy, capsys):
+        tmp_path, cfg, _ = noisy
+        p = tmp_path / "folds17.json"
+        # 17 folds leave a cascade stage's CV fold one class: its columns fail
+        p.write_text(json.dumps(dict(cfg, cv={"folds": 17, "seed": 0})))
+        rc = cli.main(["benchmark", "--config", str(p),
+                       "--methods", "mcc+fixed,sbc+fixed,sbc+phgs, sbc+hgs+weights"])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert _mask_times(captured.out) == BENCHMARK_TSV
+        assert captured.err == BENCHMARK_STDERR
+        report = (tmp_path / "out" / "benchmark_report.tsv").read_text()
+        assert _mask_times(report) == BENCHMARK_TSV
+
+    def test_train_with_test_csv(self, noisy, capsys):
+        tmp_path, _, cfg_path = noisy
+        assert cli.main(["train", "--config", str(cfg_path)]) == 0
+        out = tmp_path / "out"
+        assert _mask_times(capsys.readouterr().out) == TRAIN_STDOUT.format(out=out)
+        assert _mask_times((out / "summary.txt").read_text()) == TRAIN_SUMMARY
+
+    def test_train_without_test_csv(self, noisy, capsys):
+        tmp_path, cfg, _ = noisy
+        cfg = dict(cfg, method="sbc")
+        cfg.pop("test_csv")
+        p = tmp_path / "no_test.json"
+        p.write_text(json.dumps(cfg))
+        assert cli.main(["train", "--config", str(p)]) == 0
+        assert _mask_times(capsys.readouterr().out) == (
+            "HPO time    #.###\nTrain time  #.###\nTest time   #.###\n"
+            f"bundle written to {tmp_path / 'out'}/bundle.json\n")
+
+
+# _parse_method as it once read its suffix from a table; the grammar must
+# accept and reject the same tokens, with the same message.
+REFERENCE_METHOD_COLUMNS = {
+    "fixed": ("fixed", "none"),
+    "gs": ("gs", "none"),
+    "gs+weights": ("gs", "inverse_frequency"),
+    "hgs": ("hgs", "none"),
+    "hgs+weights": ("hgs", "inverse_frequency"),
+    "phgs": ("phgs", "none"),
+    "phgs+weights": ("phgs", "inverse_frequency"),
+}
+
+
+def reference_parse_method(token):
+    parts = token.strip().lower().split("+", 1)
+    method = parts[0]
+    rest = parts[1] if len(parts) > 1 else "fixed"
+    if method not in ("mcc", "sbc") or rest not in REFERENCE_METHOD_COLUMNS:
+        raise ConfigError(f"bad method column {token!r}")
+    hpo_mode, weights = REFERENCE_METHOD_COLUMNS[rest]
+    return method, hpo_mode, weights
+
+
+METHOD_PARTS = ["mcc", "SBC", " sbc ", "sbc", "fixed", "gs", "HGS", "phgs", "weights",
+                "Weights ", "", "x", "mcc ", " "]
+
+
+def _outcome(parse, token):
+    try:
+        return parse(token)
+    except ConfigError as exc:
+        return str(exc)
+
+
+def test_parse_method_matches_table():
+    """Every token of one to four parts joined by '+': 41,370 in all."""
+    tokens = ["+".join(parts) for n in range(1, 5)
+              for parts in itertools.product(METHOD_PARTS, repeat=n)]
+    assert len(tokens) == 41370
+    assert [t for t in tokens
+            if _outcome(cli._parse_method, t) != _outcome(reference_parse_method, t)] == []
+    assert sum(type(_outcome(cli._parse_method, t)) is tuple for t in tokens) == 35
+
+
+SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+
+
+class TestConfigValues:
+    """Config values that ended in a traceback, read a file descriptor or
+    trained a broken model are config errors (exit 2)."""
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '"x"', "null"])
+    def test_top_level_not_an_object(self, tmp_path, capsys, text):
+        p = tmp_path / "cfg.json"
+        p.write_text(text)
+        assert cli.main(["train", "--config", str(p)]) == cli.EXIT_CONFIG
+        assert "must hold a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("train_csv", None), ("out_dir", 7),
+                                            ("label_column", 3)])
+    def test_value_not_a_string(self, prepared, capsys, key, value):
+        tmp_path, cfg, _ = prepared
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(dict(cfg, **{key: value})))
+        assert cli.main(["train", "--config", str(p)]) == cli.EXIT_CONFIG
+        assert f"{key} must be a string" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("train_csv", 0), ("test_csv", 1),
+                                            ("train_csv", True)])
+    def test_int_path_is_no_file_descriptor(self, prepared, key, value):
+        """Run as a child process: opening fd 0 or 1 would read or close this
+        process's own stdin or stdout."""
+        tmp_path, cfg, _ = prepared
+        p = tmp_path / "fd.json"
+        p.write_text(json.dumps(dict(cfg, **{key: value})))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "sbcboost.cli", "train", "--config", str(p)],
+                              stdin=subprocess.DEVNULL, capture_output=True, text=True,
+                              env=env, cwd=tmp_path, timeout=120)
+        assert proc.returncode == cli.EXIT_CONFIG, proc.stderr
+        assert f"{key} must be a string" in proc.stderr
+
+    @pytest.mark.parametrize("method, section, key, value", [
+        ("mcc", "params", "l2_lambda", NAN),
+        ("mcc", "params", "min_child_weight", NAN),
+        ("sbc", "params", "l2_lambda", INF),
+        ("sbc", "last_stage", "negatives_per_positive", NAN),
+        ("sbc", "last_stage", "negatives_per_positive", INF),
+    ])
+    def test_non_finite_number(self, prepared, capsys, method, section, key, value):
+        tmp_path, cfg, _ = prepared
+        p = tmp_path / "nan.json"
+        p.write_text(json.dumps(dict(cfg, method=method,
+                                     **{section: dict(cfg.get(section, {}), **{key: value})})))
+        assert cli.main(["train", "--config", str(p)]) == cli.EXIT_CONFIG
+        assert f"{key} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "bundle.json").exists()
+
+    @pytest.mark.parametrize("command, hpo_mode, section", [
+        ("train", "fixed", "last_stage"), ("tune", "phgs", "cv"), ("tune", "phgs", "halving"),
+    ])
+    def test_negative_seed(self, prepared, capsys, command, hpo_mode, section):
+        """numpy's generators reject a negative seed: a traceback for the last
+        stage's sampling, a training error inside a search."""
+        tmp_path, cfg, _ = prepared
+        p = tmp_path / "seed.json"
+        p.write_text(json.dumps(dict(cfg, method="sbc", hpo=hpo_mode,
+                                     **{section: dict(cfg.get(section, {}), seed=-1)})))
+        assert cli.main([command, "--config", str(p)]) == cli.EXIT_CONFIG
+        assert "seed must be >= 0" in capsys.readouterr().err
+
+
+# A fuzzed config is a small valid one with one top-level key, or one field
+# of a section, replaced by an arbitrary JSON value. Ints stay small, so no
+# value asks for a long fit; strings are relative names, so every file the
+# command writes lands in the example's own directory.
+FUZZ_CONFIG = {
+    "train_csv": "train.csv", "test_csv": "test.csv", "label_column": "label",
+    "method": "sbc", "hpo": "fixed", "params": {"num_rounds": 2, "max_depth": 2, "seed": 0},
+    "out_dir": "out", "cv": {"folds": 2, "seed": 0},
+    "halving": {"factor": 2, "min_resources": 20, "seed": 0},
+    "grid": {"max_depth": [1, 2]},
+    "last_stage": {"source": "majority_only", "negatives_per_positive": 1.0, "seed": 0},
+}
+FUZZ_TOP_KEYS = sorted(FUZZ_CONFIG) + ["grid_file", "weights", "threshold", "unknown_action"]
+FUZZ_FIELDS = [(section, name) for section, fields in (
+    ("params", ["num_rounds", "learning_rate", "max_depth", "min_child_weight", "l2_lambda",
+                "subsample", "seed"]),
+    ("cv", ["folds", "metric", "seed"]),
+    ("halving", ["factor", "min_resources", "seed"]),
+    ("last_stage", ["source", "negatives_per_positive", "seed"]),
+    ("grid", ["max_depth", "num_rounds", "learning_rate"]),
+) for name in fields]
+FUZZ_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 3),
+    st.sampled_from([0.0, 0.5, 1.0, 2.5, -1.0, NAN, INF, -INF]),
+    st.sampled_from(["", "x", "label", "train.csv", "sbc", "mcc", "hgs", "phgs", "none",
+                     "inverse_frequency", "emit_unknown", "all_others", "accuracy"]),
+)
+FUZZ_JSON = st.one_of(
+    FUZZ_SCALARS, st.lists(FUZZ_SCALARS, max_size=3),
+    st.dictionaries(st.sampled_from(["values", "prune", "folds", "seed"]), FUZZ_SCALARS,
+                    max_size=2))
+
+
+@pytest.fixture(scope="module")
+def fuzz_split(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz_split")
+    train, test = ds.stratified_split(blob_dataset([50, 20, 10], seed=4, scale=4.0),
+                                      ds.SplitSpec(0.25, seed=0))
+    ds.export_csv(train, str(d / "train.csv"))
+    ds.export_csv(test, str(d / "test.csv"))
+    return d
+
+
+class TestConfigFuzz:
+    @given(data=st.data(), command=st.sampled_from(["train", "benchmark"]))
+    @settings(max_examples=300, deadline=2000,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    def test_mutated_config_exits_with_a_code(self, tmp_path_factory, fuzz_split, data,
+                                             command):
+        """train, and benchmark of an mcc and an sbc+hgs column, end every
+        mutated config with a documented exit code; no exception escapes."""
+        cfg = json.loads(json.dumps(FUZZ_CONFIG))
+        if data.draw(st.booleans()):
+            cfg[data.draw(st.sampled_from(FUZZ_TOP_KEYS))] = data.draw(FUZZ_JSON)
+        else:
+            section, name = data.draw(st.sampled_from(FUZZ_FIELDS))
+            cfg[section][name] = data.draw(FUZZ_JSON)
+        d = tmp_path_factory.mktemp("fuzz_cfg")
+        for name in ("train.csv", "test.csv"):
+            (d / name).write_bytes((fuzz_split / name).read_bytes())
+        (d / "cfg.json").write_text(json.dumps(cfg))
+        argv = [command, "--config", "cfg.json"]
+        if command == "benchmark":
+            argv += ["--methods", "mcc+fixed,sbc+hgs"]
+        cwd = os.getcwd()
+        os.chdir(d)
+        try:
+            assert cli.main(argv) in (0, 2, 3, 4, 5)
+        finally:
+            os.chdir(cwd)

@@ -450,3 +450,84 @@ class TestWeights:
     def test_frequencies(self):
         d = blob_dataset([5, 3], seed=0)
         assert ds.class_frequencies(d) == {0: 5, 1: 3}
+
+
+# export_csv, align_to and compute_sample_weights as they read before they
+# looked classes up per array: row by row, in Python.
+
+
+def reference_export_csv(d, path, label_column="label"):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(d.feature_names + [label_column])
+        for i in range(d.n_rows):
+            cells = [repr(float(v)) for v in d.features[i]]
+            writer.writerow(cells + [d.class_names[d.labels[i]]])
+
+
+def reference_align_labels(d, class_names):
+    index = {name: i for i, name in enumerate(class_names)}
+    return np.array([index[d.class_names[c]] for c in d.labels], dtype=np.int64)
+
+
+def reference_inverse_frequency(labels):
+    classes, counts = np.unique(labels, return_counts=True)
+    per_class = labels.size / (classes.size * counts.astype(np.float64))
+    lookup = dict(zip(classes.tolist(), per_class.tolist()))
+    return np.array([lookup[c] for c in labels.tolist()], dtype=np.float64)
+
+
+CLASS_NAMES = ["Normal", "a,b", 'say "hi"', '"', ",", "x\ny", "é ü", "label", " pad ", "1.5"]
+
+
+@st.composite
+def datasets(draw):
+    n_classes = draw(st.integers(1, 5))
+    names = draw(st.permutations(CLASS_NAMES))[:n_classes]
+    n_rows = draw(st.integers(1, 12))
+    n_features = draw(st.integers(1, 4))
+    values = st.floats(allow_nan=True, allow_infinity=True, width=64)
+    X = np.array(draw(st.lists(values, min_size=n_rows * n_features,
+                               max_size=n_rows * n_features)), dtype=np.float64)
+    y = np.array(draw(st.lists(st.integers(0, n_classes - 1), min_size=n_rows, max_size=n_rows)),
+                 dtype=np.int64)
+    return ds.Dataset(X.reshape(n_rows, n_features), y, names,
+                      [f"f{j}" for j in range(n_features)])
+
+
+class TestClassLookups:
+    @given(d=datasets(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_match_row_by_row_references(self, tmp_path_factory, d, data):
+        out = tmp_path_factory.mktemp("export")
+        ds.export_csv(d, str(out / "new.csv"))
+        reference_export_csv(d, str(out / "old.csv"))
+        assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
+
+        extra = [n for n in CLASS_NAMES if n not in d.class_names][:data.draw(st.integers(0, 2))]
+        target = data.draw(st.permutations(d.class_names + extra))
+        aligned = ds.align_to(d, target)
+        want = reference_align_labels(d, target)
+        assert aligned.labels.dtype == want.dtype and np.array_equal(aligned.labels, want)
+        assert aligned.class_names == target
+
+        w = ds.compute_sample_weights(d.labels, "inverse_frequency")
+        assert w.dtype == np.float64
+        assert w.tobytes() == reference_inverse_frequency(d.labels).tobytes()
+
+    def test_weights_bit_identical_at_scale(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            labels = rng.integers(0, rng.integers(1, 12), size=rng.integers(1, 5000))
+            assert (ds.compute_sample_weights(labels, "inverse_frequency").tobytes()
+                    == reference_inverse_frequency(labels).tobytes())
+
+    def test_names_with_commas_and_quotes_round_trip(self, tmp_path):
+        names = ["a,b", 'say "hi"', '"', "x\ny", "é ü"]
+        d = blob_dataset([3, 3, 2, 2, 2], seed=1)
+        d = ds.Dataset(d.features, d.labels, names, d.feature_names)
+        ds.export_csv(d, str(tmp_path / "names.csv"))
+        back = ds.load_csv(str(tmp_path / "names.csv"), "label")
+        assert back.class_names == [names[c] for c in dict.fromkeys(d.labels.tolist())]
+        assert [back.class_names[c] for c in back.labels] == [names[c] for c in d.labels]
+        assert _same_bits(back.features, d.features)
