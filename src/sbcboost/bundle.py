@@ -69,7 +69,7 @@ class ModelBundle:
         with open(path, encoding="utf-8") as fh:
             try:
                 doc = json.load(fh)
-            except ValueError as exc:  # bad JSON or bad UTF-8
+            except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8 or nested too deep
                 raise BundleError(f"{path}: not a JSON file: {exc}") from exc
         if not isinstance(doc, dict):
             raise BundleError(f"{path}: not a bundle object")

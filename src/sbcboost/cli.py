@@ -55,7 +55,7 @@ def _load_config(path: str, overrides: argparse.Namespace) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must hold a JSON object, got {cfg!r}")
@@ -106,7 +106,7 @@ def _from_section(cfg: dict, key: str, build, default=None):
     there is a ConfigError rather than a traceback."""
     try:
         return _check_fields(build(cfg.get(key, {} if default is None else default)))
-    except (OSError, TypeError, ValueError, KeyError, AttributeError) as exc:
+    except (OSError, TypeError, ValueError, KeyError, AttributeError, RecursionError) as exc:
         raise ConfigError(f"bad {key}: {exc}") from exc
 
 
@@ -354,6 +354,12 @@ def cmd_benchmark(args) -> int:
     methods = [m for m in (args.methods or "").split(",") if m.strip()]
     if not methods:
         raise ConfigError("benchmark needs --methods")
+    parsed = {}  # token -> (method, hpo mode, weights); no two tokens share a column
+    for token in methods:
+        column = _parse_method(token)
+        if column in parsed.values():
+            raise ConfigError(f"method column {token!r} repeats an earlier column")
+        parsed[token] = column
 
     train = _load_train(cfg)
     test = _load_test(cfg["test_csv"], cfg.get("label_column", "label"),
@@ -363,8 +369,7 @@ def cmd_benchmark(args) -> int:
 
     columns = {}
     failures = {}
-    for token in methods:
-        method, hpo_mode, weights = _parse_method(token)
+    for token, (method, hpo_mode, weights) in parsed.items():
         run_cfg = dict(cfg, method=method, hpo=hpo_mode, weights=weights)
         if hpo_mode == "fixed":
             run_cfg.setdefault("params", {})

@@ -223,72 +223,60 @@ def clean(d: Dataset, p: CleaningPolicy) -> tuple[Dataset, CleaningReport]:
     order of survivors is preserved.
     """
     report = CleaningReport(rows_in=d.n_rows)
-    X = d.features.copy()
-    y = d.labels.copy()
+    X, y = d.features.copy(), d.labels.copy()
+
+    def drop(bad, field):
+        """Count the rows ``bad`` marks into ``field`` and drop them."""
+        nonlocal X, y
+        n = int(bad.sum())
+        setattr(report, field, n)
+        if n:
+            X, y = X[~bad], y[~bad]
+
+    def fill(mask, field, value):
+        """Count the cells ``mask`` marks into ``field`` and set them, column
+        by column, to value(the column's finite values, its marked cells), or
+        to 0.0 in a column with no finite value."""
+        setattr(report, field, int(mask.sum()))
+        for j in np.flatnonzero(mask.any(axis=0)):
+            col, m = X[:, j], mask[:, j]
+            finite = col[np.isfinite(col)]
+            col[m] = value(finite, col[m]) if finite.size else 0.0
 
     nan_mask = np.isnan(X)
-    if nan_mask.any():
-        if p.missing_value_action == "drop_row":
-            bad = nan_mask.any(axis=1)
-            report.rows_dropped_missing = int(bad.sum())
-            X, y = X[~bad], y[~bad]
-        elif p.missing_value_action == "impute_zero":
-            report.cells_imputed = int(nan_mask.sum())
-            X[nan_mask] = 0.0
-        else:  # impute_median, over finite values per column
-            report.cells_imputed = int(nan_mask.sum())
-            for j in range(X.shape[1]):
-                col = X[:, j]
-                m = np.isnan(col)
-                if m.any():
-                    finite = col[~m & np.isfinite(col)]
-                    col[m] = float(np.median(finite)) if finite.size else 0.0
+    if p.missing_value_action == "drop_row":
+        drop(nan_mask.any(axis=1), "rows_dropped_missing")
+    elif p.missing_value_action == "impute_zero":
+        fill(nan_mask, "cells_imputed", lambda finite, cells: 0.0)
+    else:
+        fill(nan_mask, "cells_imputed", lambda finite, cells: float(np.median(finite)))
 
     inf_mask = np.isinf(X)
-    if inf_mask.any():
-        if p.infinity_action == "drop_row":
-            bad = inf_mask.any(axis=1)
-            report.rows_dropped_infinite = int(bad.sum())
-            X, y = X[~bad], y[~bad]
-        else:  # clamp to largest finite value of the column (sign-aware)
-            report.cells_clamped_infinite = int(inf_mask.sum())
-            for j in range(X.shape[1]):
-                col = X[:, j]
-                m = np.isinf(col)
-                if m.any():
-                    finite = col[np.isfinite(col)]
-                    hi = float(finite.max()) if finite.size else 0.0
-                    lo = float(finite.min()) if finite.size else 0.0
-                    col[m & (col > 0)] = hi
-                    col[m & (col < 0)] = lo
+    if p.infinity_action == "drop_row":
+        drop(inf_mask.any(axis=1), "rows_dropped_infinite")
+    else:  # clamp to the column's largest or smallest finite value, by sign
+        fill(inf_mask, "cells_clamped_infinite",
+             lambda finite, cells: np.where(cells > 0, finite.max(), finite.min()))
 
-    if p.negative_action != "keep":
-        neg = X < 0
-        if p.negative_action == "drop_row":
-            bad = neg.any(axis=1)
-            report.rows_dropped_negative = int(bad.sum())
-            X, y = X[~bad], y[~bad]
-        else:
-            report.cells_clamped_negative = int(neg.sum())
-            X[neg] = 0.0
+    if p.negative_action == "drop_row":
+        drop((X < 0).any(axis=1), "rows_dropped_negative")
+    elif p.negative_action == "clamp_zero":
+        fill(X < 0, "cells_clamped_negative", lambda finite, cells: 0.0)
 
-    if p.drop_duplicates and X.shape[0]:
-        combined = np.column_stack([X, y.astype(np.float64)])
+    if p.drop_duplicates:
+        # rows compare by their bytes, so -0.0 and 0.0 differ
         seen: set[bytes] = set()
-        keep = np.ones(X.shape[0], dtype=bool)
-        for i in range(X.shape[0]):
-            key = combined[i].tobytes()
-            if key in seen:
-                keep[i] = False
-            else:
-                seen.add(key)
-        report.duplicates_dropped = int((~keep).sum())
-        X, y = X[keep], y[keep]
+        dup = np.zeros(len(y), dtype=bool)
+        for i, row in enumerate(np.column_stack([X, y.astype(np.float64)])):
+            key = row.tobytes()
+            dup[i] = key in seen
+            seen.add(key)
+        drop(dup, "duplicates_dropped")
 
-    if X.shape[0] == 0:
+    if not len(y):
         raise AllRowsDropped("cleaning removed every row")
 
-    report.rows_out = X.shape[0]
+    report.rows_out = len(y)
     return Dataset(X, y, list(d.class_names), list(d.feature_names)), report
 
 
@@ -317,7 +305,7 @@ def stratified_split(d: Dataset, s: SplitSpec) -> tuple[Dataset, Dataset]:
         train_parts.append(idx[perm[k:]])
 
     train_idx = np.sort(np.concatenate(train_parts))
-    test_idx = np.sort(np.concatenate(test_parts)) if any(p.size for p in test_parts) else np.array([], dtype=int)
+    test_idx = np.sort(np.concatenate(test_parts))
     return tuple(Dataset(d.features[i], d.labels[i], list(d.class_names), list(d.feature_names))
                  for i in (train_idx, test_idx))
 

@@ -137,14 +137,17 @@ class HpoResult:
 
 
 def _kfold_indices(y: np.ndarray, cv: CvConfig) -> list[np.ndarray]:
-    """Deterministic stratified fold membership for each row."""
+    """Deterministic stratified fold membership for each row. The fold
+    count is capped at the row count: every fold past it would be empty,
+    and numpy cannot take a count such as 10**30."""
     rng = np.random.default_rng(cv.seed)
+    folds = min(cv.folds, y.size)
     fold_of = np.empty(y.size, dtype=np.int64)
     for c in np.unique(y):
         idx = np.flatnonzero(y == c)
         idx = idx[rng.permutation(idx.size)]
-        fold_of[idx] = np.arange(idx.size) % cv.folds
-    return [np.flatnonzero(fold_of == f) for f in range(cv.folds)]
+        fold_of[idx] = np.arange(idx.size) % folds
+    return [np.flatnonzero(fold_of == f) for f in range(folds)]
 
 
 def cross_validate(

@@ -20,6 +20,8 @@ from conftest import blob_dataset
 
 NAN = float("nan")
 INF = float("inf")
+# JSON nested past the parser's depth limit
+DEEP_JSON = "[" * 200000 + "]" * 200000
 
 
 def _tree(**changes):
@@ -499,6 +501,15 @@ class TestBenchmark:
         report = (tmp_path / "out" / "benchmark_report.tsv").read_text()
         assert "FAILED" not in report
 
+    def test_repeated_column_is_config_error(self, prepared, capsys):
+        """A token that parses to a column already listed would train the
+        same model again."""
+        tmp_path, _, cfg_path = prepared
+        rc = cli.main(["benchmark", "--config", str(cfg_path),
+                       "--methods", "mcc+fixed, MCC+FIXED,mcc+fixed"])
+        assert rc == cli.EXIT_CONFIG
+        assert "' MCC+FIXED' repeats an earlier column" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "benchmark_report.tsv").exists()
 
     @pytest.mark.parametrize("update, methods", [
         ({"cv": {"nfolds": 3}}, "mcc+fixed,sbc+hgs"),
@@ -584,6 +595,16 @@ class TestBundle:
         rc = cli.main(["predict", "--bundle", str(path), "--input", str(rows)])
         assert rc == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 2
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_bundle_nested_too_deep(self, prepared, capsys, command):
+        tmp_path, cfg, _ = prepared
+        path = tmp_path / "deep.json"
+        path.write_text(DEEP_JSON)
+        argv = {"predict": ["--input", cfg["test_csv"]],
+                "evaluate": ["--test", cfg["test_csv"], "--out", str(tmp_path / "eval")]}[command]
+        assert cli.main([command, "--bundle", str(path)] + argv) == cli.EXIT_EVAL
+        assert f"{path}: not a JSON file" in capsys.readouterr().err
 
     def test_cyclic_tree_fails_on_load(self, tmp_path):
         # the root is its own child: predict would walk it forever
@@ -863,6 +884,43 @@ class TestConfigValues:
         assert f"{key} must be finite" in capsys.readouterr().err
         assert not (tmp_path / "out" / "bundle.json").exists()
 
+    @pytest.mark.parametrize("argv", [["train"], ["benchmark", "--methods", "mcc"]],
+                             ids=["train", "benchmark"])
+    def test_config_nested_too_deep(self, tmp_path, capsys, argv):
+        p = tmp_path / "cfg.json"
+        p.write_text(DEEP_JSON)
+        assert cli.main(argv + ["--config", str(p)]) == cli.EXIT_CONFIG
+        assert f"cannot read config {p}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["tune", "benchmark"])
+    def test_grid_nested_too_deep(self, prepared, capsys, command):
+        """tune reads it as the config's grid_file, benchmark from --grid."""
+        tmp_path, cfg, _ = prepared
+        deep = tmp_path / "deep.json"
+        deep.write_text(DEEP_JSON)
+        p = tmp_path / "grid_cfg.json"
+        if command == "tune":
+            p.write_text(json.dumps(dict(cfg, method="sbc", hpo="hgs", grid_file=str(deep))))
+            argv = ["tune", "--config", str(p)]
+        else:
+            p.write_text(json.dumps(cfg))
+            argv = ["benchmark", "--config", str(p), "--methods", "sbc+hgs", "--grid", str(deep)]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert "bad grid_file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method, hpo_mode", [("mcc", "hgs"), ("mcc", "gs"), ("sbc", "hgs")])
+    def test_huge_fold_count(self, prepared, capsys, method, hpo_mode):
+        """Folds past the row count are all empty, so a fold count numpy
+        cannot hold fails on its first single-class fold, as 1000 does."""
+        tmp_path, cfg, _ = prepared
+        errors = []
+        for folds in (1000, 10**30):
+            p = tmp_path / "folds.json"
+            p.write_text(json.dumps(dict(cfg, method=method, hpo=hpo_mode, cv={"folds": folds})))
+            assert cli.main(["train", "--config", str(p)]) == cli.EXIT_TRAIN
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] and "degenerate" in errors[0]
+
     @pytest.mark.parametrize("command, hpo_mode, section", [
         ("train", "fixed", "last_stage"), ("tune", "phgs", "cv"), ("tune", "phgs", "halving"),
     ])
@@ -947,3 +1005,64 @@ class TestConfigFuzz:
             assert cli.main(argv) in (0, 2, 3, 4, 5)
         finally:
             os.chdir(cwd)
+
+
+# A fuzzed bundle is _bundle_text's mcc or sbc bundle with one field, at any
+# depth, replaced by an arbitrary JSON value or dropped, or the whole document
+# wrapped in nesting, past the parser's depth limit among other depths.
+FUZZ_BUNDLE_SCALARS = st.one_of(
+    FUZZ_SCALARS,
+    st.sampled_from([10**30, -10**30, 1e308, "a", "b", "binary_logistic", "multiclass_softmax"]),
+)
+FUZZ_BUNDLE_JSON = st.one_of(
+    FUZZ_BUNDLE_SCALARS, st.lists(FUZZ_BUNDLE_SCALARS, max_size=3),
+    st.dictionaries(st.sampled_from(["format_version", "n_features", "class_names", "value"]),
+                    FUZZ_BUNDLE_SCALARS, max_size=2))
+
+
+def _json_paths(doc, path=()):
+    """The key path to every value inside a JSON document, depth first."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _json_paths(value, path + (key,))
+
+
+@pytest.fixture(scope="module")
+def fuzz_rows(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz_rows")
+    (d / "rows.csv").write_text("0.0,2.0\n1.0,2.0\n")
+    (d / "test.csv").write_text("f0,f1,label\n0.0,2.0,a\n1.0,2.0,b\n")
+    return d
+
+
+class TestBundleFuzz:
+    @given(data=st.data(), kind=st.sampled_from(["mcc", "sbc"]))
+    @settings(max_examples=400, deadline=2000,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    def test_mutated_bundle_exits_with_a_code(self, tmp_path_factory, fuzz_rows, data, kind):
+        """predict and evaluate end every mutated bundle with a documented
+        exit code; no exception escapes."""
+        doc = json.loads(_bundle_text(kind))
+        action = data.draw(st.sampled_from(["replace", "drop", "nest"]))
+        if action == "nest":
+            depth = data.draw(st.sampled_from([1, 100, 5000, 200000]))
+            text = "[" * depth + json.dumps(doc) + "]" * depth
+        else:
+            *path, key = data.draw(st.sampled_from(list(_json_paths(doc))))
+            holder = doc
+            for step in path:
+                holder = holder[step]
+            if action == "drop":
+                del holder[key]
+            else:
+                holder[key] = data.draw(FUZZ_BUNDLE_JSON)
+            text = json.dumps(doc)
+        d = tmp_path_factory.mktemp("fuzz_bundle")
+        (d / "bundle.json").write_text(text)
+        bundle = str(d / "bundle.json")
+        for argv in (["predict", "--bundle", bundle, "--input", str(fuzz_rows / "rows.csv"),
+                      "--out", str(d / "preds.jsonl")],
+                     ["evaluate", "--bundle", bundle, "--test", str(fuzz_rows / "test.csv"),
+                      "--out", str(d / "eval")]):
+            assert cli.main(argv) in (0, 2, 3, 4, 5)

@@ -51,6 +51,28 @@ class TestCrossValidate:
         b = cross_validate(X, y, FAST, cv, "multiclass")
         assert a == b
 
+    def test_fold_count_capped_at_rows(self):
+        """Past the row count every fold is empty, so capping the count
+        there changes none of the folds before it."""
+        def uncapped(y, cv):
+            rng = np.random.default_rng(cv.seed)
+            fold_of = np.empty(y.size, dtype=np.int64)
+            for c in np.unique(y):
+                idx = np.flatnonzero(y == c)
+                idx = idx[rng.permutation(idx.size)]
+                fold_of[idx] = np.arange(idx.size) % cv.folds
+            return [np.flatnonzero(fold_of == f) for f in range(cv.folds)]
+
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            y = rng.integers(0, rng.integers(1, 5), size=rng.integers(1, 30))
+            cv = CvConfig(folds=int(rng.integers(2, 40)), seed=int(rng.integers(0, 9)))
+            want = uncapped(y, cv)
+            got = hpo._kfold_indices(y, cv)
+            assert len(got) == min(cv.folds, y.size)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            assert all(w.size == 0 for w in want[len(got):])
+
     def test_degenerate_fold(self):
         X = np.random.default_rng(0).normal(size=(6, 2))
         y = np.array([0, 0, 0, 0, 0, 1])
