@@ -34,11 +34,8 @@ EXIT_EVAL = 5
 METHODS = ("mcc", "sbc")
 HPO_MODES = ("fixed", "gs", "hgs", "phgs")
 
-DEFAULT_GRID = {
-    "max_depth": {"values": [2, 4, 6], "prune": "upper_bound"},
-    "num_rounds": {"values": [20, 50], "prune": "upper_bound"},
-    "learning_rate": {"values": [0.1, 0.3], "prune": "unpruned"},
-}
+# pruned by hpo.DEFAULT_PRUNE's directions
+DEFAULT_GRID = {"max_depth": [2, 4, 6], "num_rounds": [20, 50], "learning_rate": [0.1, 0.3]}
 
 # the flags that override a config key: (argparse dest, config key)
 FLAG_KEYS = (("out", "out_dir"), ("weights", "weights"), ("grid", "grid_file"),
@@ -338,11 +335,13 @@ def _load_unlabeled(path: str, bundle: ModelBundle) -> np.ndarray:
 
 def _parse_method(token: str):
     """A method column (any case, outer spaces ignored): mcc or sbc, then
-    nothing or +fixed, or +gs, +hgs or +phgs with an optional +weights."""
+    nothing or +fixed, or +gs, +hgs or +phgs with an optional +weights;
+    phgs prunes per cascade stage, so it needs sbc."""
     method, *rest = token.strip().lower().split("+")
     hpo_mode, *weights = rest or ["fixed"]
     if (method not in METHODS or hpo_mode not in HPO_MODES
-            or weights not in ([], ["weights"]) or weights and hpo_mode == "fixed"):
+            or weights not in ([], ["weights"]) or weights and hpo_mode == "fixed"
+            or hpo_mode == "phgs" and method != "sbc"):
         raise ConfigError(f"bad method column {token!r}")
     return method, hpo_mode, "inverse_frequency" if weights else "none"
 

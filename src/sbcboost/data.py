@@ -280,6 +280,17 @@ def clean(d: Dataset, p: CleaningPolicy) -> tuple[Dataset, CleaningReport]:
     return Dataset(X, y, list(d.class_names), list(d.feature_names)), report
 
 
+def shuffled_classes(labels: np.ndarray, rng) -> list[tuple[int, np.ndarray]]:
+    """(class id, row indices) for each class present, in ascending id order;
+    each class's rows are shuffled by one ``rng.permutation``, class by
+    class, so a seeded split, fold set or subsample draws the same bits."""
+    out = []
+    for c in np.unique(labels):
+        idx = np.flatnonzero(labels == c)
+        out.append((int(c), idx[rng.permutation(idx.size)]))
+    return out
+
+
 def stratified_split(d: Dataset, s: SplitSpec) -> tuple[Dataset, Dataset]:
     """Deterministic train/test partition.
 
@@ -287,22 +298,16 @@ def stratified_split(d: Dataset, s: SplitSpec) -> tuple[Dataset, Dataset]:
     clamped so at least one row stays in training. Single-exemplar classes
     go entirely to train with a warning.
     """
-    rng = np.random.default_rng(s.seed)
     test_parts = []
     train_parts = []
-    for c in range(d.n_classes):
-        idx = np.flatnonzero(d.labels == c)
-        if idx.size == 0:
-            continue
-        k = int(np.floor(idx.size * s.test_fraction + 0.5))
-        k = min(max(k, 0), idx.size - 1)
+    for c, idx in shuffled_classes(d.labels, np.random.default_rng(s.seed)):
         if idx.size == 1:
             warnings.warn(
                 f"class {d.class_names[c]!r} has a single exemplar; kept entirely in train"
             )
-        perm = rng.permutation(idx.size)
-        test_parts.append(idx[perm[:k]])
-        train_parts.append(idx[perm[k:]])
+        k = min(int(np.floor(idx.size * s.test_fraction + 0.5)), idx.size - 1)
+        test_parts.append(idx[:k])
+        train_parts.append(idx[k:])
 
     train_idx = np.sort(np.concatenate(train_parts))
     test_idx = np.sort(np.concatenate(test_parts))

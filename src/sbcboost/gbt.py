@@ -184,8 +184,8 @@ class GbtModel:
         if any(len(group) != n_classes for group in trees):
             raise ValueError(f"every tree group must hold {n_classes} trees")
         base_score = float(d["base_score"])
-        if np.isnan(base_score):
-            raise ValueError("base_score is NaN")
+        if not np.isfinite(base_score):
+            raise ValueError(f"base_score must be finite, got {base_score!r}")
         return cls(
             objective=objective,
             n_classes=n_classes,
@@ -206,7 +206,10 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
-    z = scores - scores.max(axis=1, keepdims=True)
+    top = scores.max(axis=1, keepdims=True)
+    # a margin equal to its row's top gives 0 without subtracting, so an
+    # infinite top gives 0, not inf - inf = NaN
+    z = np.subtract(scores, top, out=np.zeros_like(scores), where=scores != top)
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
 

@@ -12,13 +12,13 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import cascade as casc
 from . import gbt
-from .data import Dataset, compute_sample_weights
+from .data import Dataset, compute_sample_weights, shuffled_classes
 from .errors import FoldDegenerate, SingleClassInput, StageError, ValueNotInGrid
 from .gbt import GbtParams
 from .metrics import accuracy_score, macro_f1
@@ -54,15 +54,12 @@ class HpGrid:
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "HpGrid":
-        values = {}
-        prune = {}
+        values, prune = {}, {}
         for name, spec in mapping.items():
-            if isinstance(spec, dict):
-                values[name] = tuple(spec["values"])
-                prune[name] = spec.get("prune", DEFAULT_PRUNE.get(name, "unpruned"))
-            else:
-                values[name] = tuple(spec)
-                prune[name] = DEFAULT_PRUNE.get(name, "unpruned")
+            if not isinstance(spec, dict):
+                spec = {"values": spec}
+            values[name] = tuple(spec["values"])
+            prune[name] = spec.get("prune", DEFAULT_PRUNE.get(name, "unpruned"))
         return cls(values, prune)
 
     @classmethod
@@ -128,24 +125,16 @@ class HpoResult:
     def export_trials(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             for t in self.trials:
-                fh.write(json.dumps({
-                    "params": t.params,
-                    "resources": t.resources,
-                    "score": t.score,
-                    "seconds": t.seconds,
-                }) + "\n")
+                fh.write(json.dumps(asdict(t)) + "\n")
 
 
 def _kfold_indices(y: np.ndarray, cv: CvConfig) -> list[np.ndarray]:
     """Deterministic stratified fold membership for each row. The fold
     count is capped at the row count: every fold past it would be empty,
     and numpy cannot take a count such as 10**30."""
-    rng = np.random.default_rng(cv.seed)
     folds = min(cv.folds, y.size)
     fold_of = np.empty(y.size, dtype=np.int64)
-    for c in np.unique(y):
-        idx = np.flatnonzero(y == c)
-        idx = idx[rng.permutation(idx.size)]
+    for _, idx in shuffled_classes(y, np.random.default_rng(cv.seed)):
         fold_of[idx] = np.arange(idx.size) % folds
     return [np.flatnonzero(fold_of == f) for f in range(folds)]
 
@@ -230,15 +219,11 @@ def _stratified_subsample(y: np.ndarray, size: int, folds: int, rng) -> np.ndarr
     n = y.size
     if size >= n:
         return np.arange(n)
-    idx_parts = []
-    for c in np.unique(y):
-        idx = np.flatnonzero(y == c)
-        quota = int(round(size * idx.size / n))
-        quota = max(quota, min(idx.size, folds))
-        quota = min(quota, idx.size)
-        perm = rng.permutation(idx.size)
-        idx_parts.append(idx[perm[:quota]])
-    return np.sort(np.concatenate(idx_parts))
+    parts = []
+    for _, idx in shuffled_classes(y, rng):
+        quota = min(max(round(size * idx.size / n), folds), idx.size)
+        parts.append(idx[:quota])
+    return np.sort(np.concatenate(parts))
 
 
 def halving_grid_search(
@@ -253,10 +238,11 @@ def halving_grid_search(
 ) -> HpoResult:
     """Successive halving over the grid's combinations.
 
-    Each rung cross-validates its survivors on a fresh stratified subsample
-    and keeps the top ceil(n/factor). A later rung that holds one candidate
-    is not scored, since that candidate won the rung before, and the winner
-    is not re-scored on the full data.
+    Each rung cross-validates the schedule's count of top-ranked candidates
+    on a fresh stratified subsample, in enumeration order, and re-ranks them:
+    best score first, equal scores in enumeration order. A later rung that
+    holds one candidate is not scored, since that candidate won the rung
+    before, and the winner is not re-scored on the full data.
     """
     t_start = time.perf_counter()
     X = np.asarray(X, dtype=np.float64)
@@ -265,32 +251,23 @@ def halving_grid_search(
     schedule = halving_schedule(len(combos), y.size, hc.factor, hc.min_resources)
 
     trials = []
-    survivors = list(range(len(combos)))
-    last_scores: dict[int, float] = {}
+    ranked = list(range(len(combos)))
     for it, (n_cand, resources) in enumerate(schedule):
-        assert len(survivors) == n_cand
         if it and n_cand == 1:
-            break  # the last rung's top candidate is already the winner
+            break  # ranked[0] won the rung before
         rng = np.random.default_rng(hc.seed + it)
         sub = _stratified_subsample(y, resources, cv.folds, rng)
-        scores = []
-        for ci in survivors:
+        scores = {}
+        for ci in sorted(ranked[:n_cand]):
             params = replace(base_params, **combos[ci])
             t0 = time.perf_counter()
-            score = cross_validate(X[sub], y[sub], params, cv, objective, weights_mode)
-            trials.append(Trial(combos[ci], int(resources), score, time.perf_counter() - t0))
-            scores.append(score)
-        last_scores = dict(zip(survivors, scores))
-        if it < len(schedule) - 1:
-            keep = math.ceil(n_cand / hc.factor)
-            # stable sort: equal scores keep enumeration order
-            order = sorted(range(len(survivors)), key=lambda j: -scores[j])
-            survivors = sorted(survivors[j] for j in order[:keep])
+            scores[ci] = cross_validate(X[sub], y[sub], params, cv, objective, weights_mode)
+            trials.append(Trial(combos[ci], int(resources), scores[ci], time.perf_counter() - t0))
+        ranked = sorted(scores, key=lambda ci: -scores[ci])  # stable: ties keep enumeration order
 
-    winner = max(survivors, key=lambda ci: (last_scores[ci], -ci))
     return HpoResult(
-        best_params=replace(base_params, **combos[winner]),
-        best_score=last_scores[winner],
+        best_params=replace(base_params, **combos[ranked[0]]),
+        best_score=scores[ranked[0]],
         trials=trials,
         wall_clock=time.perf_counter() - t_start,
     )

@@ -511,6 +511,16 @@ class TestBenchmark:
         assert "' MCC+FIXED' repeats an earlier column" in capsys.readouterr().err
         assert not (tmp_path / "out" / "benchmark_report.tsv").exists()
 
+    def test_phgs_needs_sbc_before_loading(self, prepared, capsys):
+        """A bad column ends the run while --methods is parsed, before the
+        CSVs load (a missing train_csv would exit 3) or a column trains."""
+        tmp_path, cfg, _ = prepared
+        p = tmp_path / "no_train.json"
+        p.write_text(json.dumps(dict(cfg, train_csv=str(tmp_path / "missing.csv"))))
+        rc = cli.main(["benchmark", "--config", str(p), "--methods", "sbc+fixed,mcc+phgs"])
+        assert rc == cli.EXIT_CONFIG
+        assert "bad method column 'mcc+phgs'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("update, methods", [
         ({"cv": {"nfolds": 3}}, "mcc+fixed,sbc+hgs"),
         ({}, "mcc+phgs"),
@@ -570,13 +580,16 @@ class TestBundle:
         _bundle_text("sbc", tree=_tree(value=[0.0, NAN, NAN])),
         _bundle_text("sbc", stages=[dict(_gbt_payload("binary_logistic", [[_tree()]]),
                                          base_score=NAN)] * 2),
+        _bundle_text(base_score=INF),
+        _bundle_text("sbc", stages=[dict(_gbt_payload("binary_logistic", [[_tree()]]),
+                                         base_score=-INF)] * 2),
     ], ids=["version", "not_json", "no_kind", "no_payload", "unknown_kind", "bad_payload",
             "tree_lengths", "empty_tree", "child_before_parent", "child_out_of_range",
             "one_child", "feature_range", "huge_index", "is_leaf", "objective", "group_size",
             "threshold_range", "threshold_count", "multiclass_stage", "empty_fingerprint",
             "fingerprint_n_features", "fingerprint_class_names", "class_at_negative",
             "class_at_repeated", "nan_value", "nan_threshold", "nan_base_score",
-            "sbc_nan_value", "sbc_nan_base_score"])
+            "sbc_nan_value", "sbc_nan_base_score", "inf_base_score", "sbc_inf_base_score"])
     def test_bad_bundle_exits_5(self, tmp_path, capsys, text):
         path = tmp_path / "bundle.json"
         path.write_text(text)
@@ -595,6 +608,19 @@ class TestBundle:
         rc = cli.main(["predict", "--bundle", str(path), "--input", str(rows)])
         assert rc == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 2
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_infinite_margin_predicts_its_class(self, tmp_path, capsys):
+        """Class b's 1e308 leaves sum past the largest double over two rounds:
+        its margin is inf, and inf beats every finite margin."""
+        huge = _tree(value=[0.0, 1e308, 1e308])
+        path = tmp_path / "bundle.json"
+        path.write_text(_bundle_text(trees=[[_tree(), huge]] * 2, params={"learning_rate": 1.0}))
+        rows = tmp_path / "rows.csv"
+        rows.write_text("0.0,2.0\n1.0,2.0\n")
+        assert cli.main(["predict", "--bundle", str(path), "--input", str(rows)]) == 0
+        out = capsys.readouterr().out
+        assert [json.loads(line)["class"] for line in out.splitlines()] == ["b", "b"]
 
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
     def test_bundle_nested_too_deep(self, prepared, capsys, command):
@@ -785,8 +811,9 @@ class TestPinnedText:
             f"bundle written to {tmp_path / 'out'}/bundle.json\n")
 
 
-# _parse_method as it once read its suffix from a table; the grammar must
-# accept and reject the same tokens, with the same message.
+# _parse_method as it once read its suffix from a table, plus the rule that
+# phgs needs sbc; the grammar must accept and reject the same tokens, with the
+# same message.
 REFERENCE_METHOD_COLUMNS = {
     "fixed": ("fixed", "none"),
     "gs": ("gs", "none"),
@@ -805,6 +832,8 @@ def reference_parse_method(token):
     if method not in ("mcc", "sbc") or rest not in REFERENCE_METHOD_COLUMNS:
         raise ConfigError(f"bad method column {token!r}")
     hpo_mode, weights = REFERENCE_METHOD_COLUMNS[rest]
+    if hpo_mode == "phgs" and method != "sbc":
+        raise ConfigError(f"bad method column {token!r}")
     return method, hpo_mode, weights
 
 
@@ -826,7 +855,7 @@ def test_parse_method_matches_table():
     assert len(tokens) == 41370
     assert [t for t in tokens
             if _outcome(cli._parse_method, t) != _outcome(reference_parse_method, t)] == []
-    assert sum(type(_outcome(cli._parse_method, t)) is tuple for t in tokens) == 35
+    assert sum(type(_outcome(cli._parse_method, t)) is tuple for t in tokens) == 32
 
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))

@@ -1,5 +1,6 @@
 import csv
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -538,6 +539,61 @@ class TestSplit:
         for c, n_c in enumerate(counts):
             expect = min(max(int(np.floor(n_c * frac + 0.5)), 0), n_c - 1)
             assert np.sum(test.labels == c) == expect
+
+
+def reference_stratified_split(d, s):
+    """stratified_split as it shuffled each class itself (oracle)."""
+    rng = np.random.default_rng(s.seed)
+    test_parts = []
+    train_parts = []
+    for c in range(d.n_classes):
+        idx = np.flatnonzero(d.labels == c)
+        if idx.size == 0:
+            continue
+        k = int(np.floor(idx.size * s.test_fraction + 0.5))
+        k = min(max(k, 0), idx.size - 1)
+        if idx.size == 1:
+            warnings.warn(
+                f"class {d.class_names[c]!r} has a single exemplar; kept entirely in train"
+            )
+        perm = rng.permutation(idx.size)
+        test_parts.append(idx[perm[:k]])
+        train_parts.append(idx[perm[k:]])
+
+    train_idx = np.sort(np.concatenate(train_parts))
+    test_idx = np.sort(np.concatenate(test_parts))
+    return tuple(ds.Dataset(d.features[i], d.labels[i], list(d.class_names),
+                            list(d.feature_names)) for i in (train_idx, test_idx))
+
+
+def _split_rows(split, d, spec):
+    """The row indices of each part, and the warnings raised, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        parts = split(d, spec)
+    return ([part.features[:, 0].astype(np.int64).tolist() for part in parts],
+            [(w.category, str(w.message)) for w in caught])
+
+
+class TestSplitDifferential:
+    @given(
+        counts=st.lists(st.integers(0, 30) | st.just(1), min_size=1, max_size=6)
+        .filter(any),
+        frac=st.floats(0.01, 0.99) | st.sampled_from([0.1, 0.25, 0.5]),
+        seed=st.integers(0, 2**32),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference(self, counts, frac, seed, data):
+        """Absent class ids (count 0) and single-row classes among them; the
+        row order is shuffled, so a class's rows are not contiguous."""
+        order = data.draw(st.permutations(range(sum(counts))))
+        y = np.repeat(np.arange(len(counts)), counts)[order]
+        X = np.arange(y.size, dtype=np.float64).reshape(-1, 1)
+        d = ds.Dataset(X, y.astype(np.int64), [f"c{i}" for i in range(len(counts))], ["row"])
+        spec = ds.SplitSpec(frac, seed=seed)
+        assert _split_rows(ds.stratified_split, d, spec) == \
+            _split_rows(reference_stratified_split, d, spec)
 
 
 class TestWeights:

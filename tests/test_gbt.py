@@ -438,6 +438,24 @@ class TestPredict:
         m = GbtModel("multiclass_softmax", 3, 0.0, [], GbtParams(), 2)
         assert m.predict_class(np.zeros((1, 2)))[0] == 0
 
+    def test_softmax_infinite_margin(self):
+        """An infinite top margin takes its row's whole mass, shared with any
+        equal margin; rows of -inf only are uniform."""
+        p = gbt._softmax(np.array([[0.0, np.inf], [np.inf, np.inf], [-np.inf, -np.inf],
+                                   [-np.inf, 0.0]]))
+        assert p.tolist() == [[0.0, 1.0], [0.5, 0.5], [0.5, 0.5], [0.0, 1.0]]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 4).flatmap(lambda k: st.lists(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=k, max_size=k),
+        min_size=1, max_size=5)))
+    def test_softmax_finite_bits(self, rows):
+        """On finite margins, the same bits as subtracting each row's max."""
+        scores = np.array(rows)
+        with np.errstate(all="ignore"):
+            e = np.exp(scores - scores.max(axis=1, keepdims=True))
+            assert gbt._softmax(scores).tobytes() == (e / e.sum(axis=1, keepdims=True)).tobytes()
+
     def test_dimension_mismatch(self):
         X, y = gaussian_blobs([20, 20], seed=0)
         m = train_binary(X, y, None, GbtParams(num_rounds=2, seed=0))
@@ -663,6 +681,10 @@ class TestBlockScanDifferential:
     @example((_split_node([[1.0, 1.0], [1.0, 0.0], [2.0, np.nan], [1.0, np.nan]],
                           [0.0, 1.0, 2.0, 1.0], [0.0, 0.0, 1.0, 1.0],
                           [0, 1, 2, 3], 0.0, 0.0), gbt._BLOCK))
+    # GL**2 overflows to inf on every cut, so each gain is inf - inf = NaN:
+    # the first line's NaN gain is kept, at its first cut
+    @example((_split_node([[0.0], [1.0], [2.0], [3.0]], [1e200] * 4, [1.0] * 4,
+                          [0, 1, 2, 3], 1.0, 0.0), gbt._BLOCK))
     @settings(max_examples=400, deadline=None)
     @given(split_nodes())
     def test_best_split(self, case):

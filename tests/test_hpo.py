@@ -5,6 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sbcboost import cascade as casc
 from sbcboost import cli, hpo
@@ -526,3 +527,154 @@ class TestHalvingDifferential:
                                               for k in ref.trials[0].params})
             self._check(result, ref, stage_grid, view.row_indices.size, hc)
         assert [m.to_dict() for m in model.stages] == [m.to_dict() for m in ref_model.stages]
+
+
+# --- the per-class shuffle and the halving loop as they were written before
+# data.shuffled_classes and the ranked list: oracles, bit for bit
+
+def reference_kfold_indices(y, cv):
+    rng = np.random.default_rng(cv.seed)
+    folds = min(cv.folds, y.size)
+    fold_of = np.empty(y.size, dtype=np.int64)
+    for c in np.unique(y):
+        idx = np.flatnonzero(y == c)
+        idx = idx[rng.permutation(idx.size)]
+        fold_of[idx] = np.arange(idx.size) % folds
+    return [np.flatnonzero(fold_of == f) for f in range(folds)]
+
+
+def reference_stratified_subsample(y, size, folds, rng):
+    n = y.size
+    if size >= n:
+        return np.arange(n)
+    idx_parts = []
+    for c in np.unique(y):
+        idx = np.flatnonzero(y == c)
+        quota = int(round(size * idx.size / n))
+        quota = max(quota, min(idx.size, folds))
+        quota = min(quota, idx.size)
+        perm = rng.permutation(idx.size)
+        idx_parts.append(idx[perm[:quota]])
+    return np.sort(np.concatenate(idx_parts))
+
+
+def reference_ranked_halving(grid, X, y, cv, hc, objective="binary", weights_mode="none",
+                             base_params=GbtParams()):
+    """halving_grid_search as it counted survivors with ceil(n / factor) and
+    picked the winner with a separate max (oracle)."""
+    t_start = time.perf_counter()
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    combos = grid.combinations()
+    schedule = halving_schedule(len(combos), y.size, hc.factor, hc.min_resources)
+
+    trials = []
+    survivors = list(range(len(combos)))
+    last_scores = {}
+    for it, (n_cand, resources) in enumerate(schedule):
+        assert len(survivors) == n_cand
+        if it and n_cand == 1:
+            break
+        rng = np.random.default_rng(hc.seed + it)
+        sub = reference_stratified_subsample(y, resources, cv.folds, rng)
+        scores = []
+        for ci in survivors:
+            params = replace(base_params, **combos[ci])
+            t0 = time.perf_counter()
+            score = hpo.cross_validate(X[sub], y[sub], params, cv, objective, weights_mode)
+            trials.append(Trial(combos[ci], int(resources), score, time.perf_counter() - t0))
+            scores.append(score)
+        last_scores = dict(zip(survivors, scores))
+        if it < len(schedule) - 1:
+            keep = math.ceil(n_cand / hc.factor)
+            order = sorted(range(len(survivors)), key=lambda j: -scores[j])
+            survivors = sorted(survivors[j] for j in order[:keep])
+
+    winner = max(survivors, key=lambda ci: (last_scores[ci], -ci))
+    return HpoResult(
+        best_params=replace(base_params, **combos[winner]),
+        best_score=last_scores[winner],
+        trials=trials,
+        wall_clock=time.perf_counter() - t_start,
+    )
+
+
+@st.composite
+def class_labels(draw, max_rows=60):
+    """Labels over sparse class ids (some ids absent), single-row classes
+    among them, in shuffled row order."""
+    ids = draw(st.lists(st.integers(0, 9), min_size=1, max_size=5, unique=True))
+    counts = draw(st.lists(st.integers(1, max_rows // len(ids)) | st.just(1),
+                           min_size=len(ids), max_size=len(ids)))
+    y = np.repeat(np.array(ids, dtype=np.int64), counts)
+    return y[draw(st.permutations(range(y.size)))]
+
+
+class TestShuffleDifferential:
+    @given(y=class_labels(), folds=st.integers(2, 70), seed=st.integers(0, 2**32))
+    @settings(max_examples=200, deadline=None)
+    def test_kfold_indices(self, y, folds, seed):
+        """folds > rows among the draws."""
+        cv = CvConfig(folds=folds, seed=seed)
+        got, want = hpo._kfold_indices(y, cv), reference_kfold_indices(y, cv)
+        assert [f.tolist() for f in got] == [f.tolist() for f in want]
+
+    @given(y=class_labels(), data=st.data(), folds=st.integers(2, 8),
+           seed=st.integers(0, 2**32))
+    @settings(max_examples=200, deadline=None)
+    def test_stratified_subsample(self, y, data, folds, seed):
+        """size >= rows among the draws; the generator must also be left in
+        the same state for the next draw from it."""
+        size = data.draw(st.integers(1, y.size + 3))
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = hpo._stratified_subsample(y, size, folds, rng)
+        want = reference_stratified_subsample(y, size, folds, ref_rng)
+        assert got.tolist() == want.tolist()
+        assert rng.integers(2**62) == ref_rng.integers(2**62)
+
+
+@st.composite
+def tied_searches(draw):
+    """A grid, labels, a halving config and a score table of few levels, so
+    many candidates tie."""
+    values = {
+        "max_depth": st.lists(st.integers(1, 8), min_size=1, max_size=4, unique=True),
+        "num_rounds": st.lists(st.integers(1, 50), min_size=1, max_size=4, unique=True),
+        "learning_rate": st.lists(st.sampled_from([0.05, 0.1, 0.3, 1.0]), min_size=1,
+                                  max_size=3, unique=True),
+    }
+    names = draw(st.lists(st.sampled_from(sorted(values)), min_size=1, unique=True))
+    grid = HpGrid.from_mapping({n: sorted(draw(values[n])) for n in names})
+    y = draw(class_labels(max_rows=120))
+    hc = HalvingConfig(factor=draw(st.integers(2, 4)),
+                       min_resources=draw(st.integers(1, y.size + 2)),
+                       seed=draw(st.integers(0, 1000)))
+    cv = CvConfig(folds=draw(st.integers(2, 5)), seed=draw(st.integers(0, 1000)))
+    levels = draw(st.integers(1, 4))
+    table = draw(st.lists(st.integers(0, levels - 1), min_size=grid.size(),
+                          max_size=grid.size()))
+    return grid, y, hc, cv, levels, table
+
+
+class TestRankedHalvingDifferential:
+    @given(tied_searches())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, case):
+        """A fake CV score from the candidate's table entry and the rows of
+        its rung's subsample ties candidates at will; the winner, its score
+        and every trial but its time must match."""
+        grid, y, hc, cv, levels, table = case
+        X = np.arange(y.size, dtype=np.float64).reshape(-1, 1)  # column 0: row ids
+        combos = grid.combinations()
+
+        def score(X, y, params, cv, objective, weights_mode):
+            ci = combos.index({k: getattr(params, k) for k in combos[0]})
+            return (table[ci] + int(X[:, 0].sum())) % levels / levels
+
+        with mock.patch.object(hpo, "cross_validate", score):
+            got = halving_grid_search(grid, X, y, cv, hc)
+            want = reference_ranked_halving(grid, X, y, cv, hc)
+        assert got.best_params == want.best_params
+        assert got.best_score == want.best_score
+        assert [(t.params, t.resources, t.score) for t in got.trials] == \
+            [(t.params, t.resources, t.score) for t in want.trials]
