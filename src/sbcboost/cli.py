@@ -65,27 +65,6 @@ def _load_config(path: str, overrides: argparse.Namespace) -> dict:
     return cfg
 
 
-def _validate_config(cfg: dict) -> None:
-    method = cfg.get("method", "mcc")
-    hpo_mode = cfg.get("hpo", "fixed")
-    if method not in METHODS:
-        raise ConfigError(f"method must be mcc or sbc, got {method!r}")
-    if hpo_mode not in HPO_MODES:
-        raise ConfigError(f"hpo must be one of {'/'.join(HPO_MODES)}, got {hpo_mode!r}")
-    if hpo_mode == "phgs" and method != "sbc":
-        raise ConfigError("hpo=phgs requires method=sbc")
-    if hpo_mode == "fixed" and "params" not in cfg:
-        raise ConfigError("hpo=fixed requires explicit params")
-    if "train_csv" not in cfg:
-        raise ConfigError("config needs train_csv")
-    for key, allowed in (("weights", ds.WEIGHT_SCHEMES), ("unknown_action", casc.UNKNOWN_ACTIONS)):
-        if key in cfg and cfg[key] not in allowed:
-            raise ConfigError(f"{key} must be one of {'/'.join(allowed)}, got {cfg[key]!r}")
-    threshold = cfg.get("threshold", casc.DEFAULT_THRESHOLD)
-    if type(threshold) not in (int, float) or not 0.0 < threshold < 1.0:
-        raise ConfigError(f"threshold must be a number in (0, 1), got {threshold!r}")
-
-
 def _check_fields(obj):
     """JSON gives 2.5 as readily as 2: a dataclass field declared int must
     hold an int, and a seed a non-negative one, as numpy's generators ask."""
@@ -115,28 +94,64 @@ def _checked_grid(grid: hpo.HpGrid) -> hpo.HpGrid:
     return grid
 
 
-def _grid_from_cfg(cfg: dict) -> hpo.HpGrid:
-    if "grid_file" in cfg:
-        return _from_section(cfg, "grid_file", lambda p: _checked_grid(hpo.HpGrid.from_file(p)))
-    return _from_section(
-        cfg, "grid", lambda m: _checked_grid(hpo.HpGrid.from_mapping(m)), DEFAULT_GRID
-    )
+@dataclasses.dataclass(frozen=True)
+class Run:
+    """One method and search of a config, every section it reads checked.
+    ``config`` is the raw dict, flag overrides in, that a bundle records."""
+
+    config: dict
+    method: str
+    hpo_mode: str
+    weights: str
+    params: GbtParams
+    cv: hpo.CvConfig
+    grid: hpo.HpGrid | None  # None under fixed; no prune map under gs and hgs
+    halving: hpo.HalvingConfig | None  # None under fixed and gs, whose one rung takes every row
+    policy: casc.LastStagePolicy | None  # None under mcc
+    threshold: float
+    unknown_action: str
+    label_column: str
+    out_dir: str
 
 
-def _search_space(cfg: dict, hpo_mode: str, n_rows: int) -> tuple[hpo.HpGrid, hpo.HalvingConfig]:
-    """The grid and halving config that make one halving search run
-    ``hpo_mode``: hgs and gs leave every parameter unpruned, and gs also
-    scores every candidate in a single rung on all ``n_rows`` rows."""
-    grid = _grid_from_cfg(cfg)
-    if hpo_mode == "gs":
-        return hpo.HpGrid(grid.values, {}), hpo.HalvingConfig(min_resources=n_rows)
-    if hpo_mode == "hgs":
-        grid = hpo.HpGrid(grid.values, {})
-    return grid, _from_section(cfg, "halving", lambda s: hpo.HalvingConfig(**s))
+def _read_run(cfg: dict) -> Run:
+    """The run ``cfg`` asks for, read before any data file opens: the
+    sections a run reads are checked in the order it reads them."""
+    method = cfg.get("method", "mcc")
+    hpo_mode = cfg.get("hpo", "fixed")
+    if method not in METHODS:
+        raise ConfigError(f"method must be mcc or sbc, got {method!r}")
+    if hpo_mode not in HPO_MODES:
+        raise ConfigError(f"hpo must be one of {'/'.join(HPO_MODES)}, got {hpo_mode!r}")
+    if hpo_mode == "phgs" and method != "sbc":
+        raise ConfigError("hpo=phgs requires method=sbc")
+    if hpo_mode == "fixed" and "params" not in cfg:
+        raise ConfigError("hpo=fixed requires explicit params")
+    if "train_csv" not in cfg:
+        raise ConfigError("config needs train_csv")
+    for key, allowed in (("weights", ds.WEIGHT_SCHEMES), ("unknown_action", casc.UNKNOWN_ACTIONS)):
+        if key in cfg and cfg[key] not in allowed:
+            raise ConfigError(f"{key} must be one of {'/'.join(allowed)}, got {cfg[key]!r}")
+    threshold = cfg.get("threshold", casc.DEFAULT_THRESHOLD)
+    if type(threshold) not in (int, float) or not 0.0 < threshold < 1.0:
+        raise ConfigError(f"threshold must be a number in (0, 1), got {threshold!r}")
 
-
-def _load_train(cfg: dict) -> ds.Dataset:
-    return ds.load_csv(cfg["train_csv"], cfg.get("label_column", "label"))
+    params = _from_section(cfg, "params", lambda s: GbtParams(**s))
+    cv = _from_section(cfg, "cv", lambda s: hpo.CvConfig(**s))
+    grid = halving = policy = None
+    if hpo_mode != "fixed":
+        key = "grid_file" if "grid_file" in cfg else "grid"
+        read = hpo.HpGrid.from_file if key == "grid_file" else hpo.HpGrid.from_mapping
+        grid = _from_section(cfg, key, lambda s: _checked_grid(read(s)), DEFAULT_GRID)
+        if hpo_mode != "phgs":
+            grid = hpo.HpGrid(grid.values, {})
+        if hpo_mode != "gs":
+            halving = _from_section(cfg, "halving", lambda s: hpo.HalvingConfig(**s))
+    if method == "sbc":
+        policy = _from_section(cfg, "last_stage", lambda s: casc.LastStagePolicy(**s))
+    return Run(cfg, method, hpo_mode, cfg.get("weights", "none"), params, cv, grid, halving,
+               policy, float(threshold), cfg.get("unknown_action", "assign_last_class"),
+               cfg.get("label_column", "label"), cfg.get("out_dir", "."))
 
 
 def _load_test(path: str, label_column: str, n_features: int,
@@ -151,50 +166,33 @@ def _load_test(path: str, label_column: str, n_features: int,
     return ds.align_to(test, class_names)
 
 
-def _train_one(cfg: dict, train: ds.Dataset):
-    """Train per the method/hpo selection; returns (model, hpo_results,
-    timings dict)."""
-    method = cfg.get("method", "mcc")
-    hpo_mode = cfg.get("hpo", "fixed")
-    weights = cfg.get("weights", "none")
-    base_params = _from_section(cfg, "params", lambda s: GbtParams(**s))
-    cv = _from_section(cfg, "cv", lambda s: hpo.CvConfig(**s))
-    threshold = float(cfg.get("threshold", casc.DEFAULT_THRESHOLD))
-    timings = {"hpo_s": 0.0, "train_s": 0.0}
-    if hpo_mode != "fixed":
-        grid, hc = _search_space(cfg, hpo_mode, train.n_rows)
-
-    if method == "mcc":
-        w = ds.compute_sample_weights(train.labels, weights)
-        params = base_params
-        results = []
-        if hpo_mode != "fixed":
-            result = hpo.halving_grid_search(
-                grid, train.features, train.labels, cv, hc, "multiclass", weights, base_params
-            )
-            params = result.best_params
-            results = [result]
-            timings["hpo_s"] = result.wall_clock
+def _train_one(run: Run, train: ds.Dataset):
+    """Train ``run`` on ``train``; returns (model, search results, timings).
+    hpo_s sums the searches' wall clocks; train_s is the final fit's wall
+    time, for a cascade the sum of its stages' fit seconds."""
+    hc = run.halving or hpo.HalvingConfig(min_resources=train.n_rows)  # gs: one rung, every row
+    results = []
+    if run.method == "mcc":
+        w = ds.compute_sample_weights(train.labels, run.weights)
+        params = run.params
+        if run.grid is not None:
+            results = [hpo.halving_grid_search(run.grid, train.features, train.labels, run.cv, hc,
+                                               "multiclass", run.weights, run.params)]
+            params = results[0].best_params
         t0 = time.perf_counter()
         model = train_multiclass(train.features, train.labels, w, params)
-        timings["train_s"] = time.perf_counter() - t0
-        return model, results, timings
-
-    # sbc
-    ordering = casc.order_classes(ds.class_frequencies(train))
-    policy = _from_section(cfg, "last_stage", lambda s: casc.LastStagePolicy(**s))
-    if hpo_mode == "fixed":
-        t0 = time.perf_counter()
-        model = casc.train_cascade(train, ordering, base_params, weights, policy, threshold)
-        timings["train_s"] = time.perf_counter() - t0
-        return model, [], timings
-
-    model, results = hpo.phgs_cascade(
-        train, ordering, grid, cv, hc, weights, policy, base_params, threshold
-    )
-    timings["hpo_s"] = sum(r.wall_clock for r in results)
-    timings["train_s"] = sum(m.train_seconds for m in model.metadata)
-    return model, results, timings
+        train_s = time.perf_counter() - t0
+    else:
+        ordering = casc.order_classes(ds.class_frequencies(train))
+        if run.grid is not None:
+            model, results = hpo.phgs_cascade(train, ordering, run.grid, run.cv, hc, run.weights,
+                                              run.policy, run.params, run.threshold)
+        else:
+            model = casc.train_cascade(train, ordering, run.params, run.weights, run.policy,
+                                       run.threshold)
+        train_s = sum(m.train_seconds for m in model.metadata)
+    # 0.0, not sum([])'s int 0: summary.json prints the value
+    return model, results, {"hpo_s": sum((r.wall_clock for r in results), 0.0), "train_s": train_s}
 
 
 def _score(bundle: ModelBundle, test: ds.Dataset, unknown_action: str, timings: dict):
@@ -263,27 +261,23 @@ def cmd_prepare(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _load_config(args.config, args)
-    if getattr(args, "require_hpo", False) and cfg.get("hpo", "fixed") == "fixed":
+    run = _read_run(_load_config(args.config, args))
+    if getattr(args, "require_hpo", False) and run.hpo_mode == "fixed":
         raise ConfigError("tune requires hpo of gs, hgs or phgs")
-    _validate_config(cfg)
-    train = _load_train(cfg)
-    model, results, timings = _train_one(cfg, train)
+    train = ds.load_csv(run.config["train_csv"], run.label_column)
+    model, results, timings = _train_one(run, train)
 
-    out_dir = cfg.get("out_dir", ".")
-    os.makedirs(out_dir, exist_ok=True)
-    bundle = ModelBundle(cfg.get("method", "mcc"), model, cfg, dataset_fingerprint(train))
-    bundle_path = os.path.join(out_dir, "bundle.json")
+    os.makedirs(run.out_dir, exist_ok=True)
+    bundle = ModelBundle(run.method, model, run.config, dataset_fingerprint(train))
+    bundle_path = os.path.join(run.out_dir, "bundle.json")
     bundle.save(bundle_path)
     for i, r in enumerate(results):
-        r.export_trials(os.path.join(out_dir, f"hpo_trials_stage{i}.jsonl"))
+        r.export_trials(os.path.join(run.out_dir, f"hpo_trials_stage{i}.jsonl"))
 
-    if cfg.get("test_csv"):
-        test = _load_test(cfg["test_csv"], cfg.get("label_column", "label"),
-                          train.n_features, bundle.class_names)
-        summary = _evaluate_bundle(
-            bundle, test, cfg.get("unknown_action", "assign_last_class"), timings, out_dir
-        )
+    if run.config.get("test_csv"):
+        test = _load_test(run.config["test_csv"], run.label_column, train.n_features,
+                          bundle.class_names)
+        summary = _evaluate_bundle(bundle, test, run.unknown_action, timings, run.out_dir)
         timings = summary.timings
         for label, key in metrics.QUALITY_ROWS:
             print(f"{label:12s}{getattr(summary, key):.4f}")
@@ -359,29 +353,29 @@ def cmd_benchmark(args) -> int:
         if column in parsed.values():
             raise ConfigError(f"method column {token!r} repeats an earlier column")
         parsed[token] = column
+    runs = {}  # token -> its Run, every column's config read before the CSVs open
+    for token, (method, hpo_mode, weights) in parsed.items():
+        run_cfg = dict(cfg, method=method, hpo=hpo_mode, weights=weights)
+        if hpo_mode == "fixed":
+            run_cfg.setdefault("params", {})
+        runs[token] = run = _read_run(run_cfg)
+    # the label column and out_dir are the config's own, the same in every run
+    label_column, out_dir = run.label_column, run.out_dir
 
-    train = _load_train(cfg)
-    test = _load_test(cfg["test_csv"], cfg.get("label_column", "label"),
-                      train.n_features, train.class_names)
+    train = ds.load_csv(cfg["train_csv"], label_column)
+    test = _load_test(cfg["test_csv"], label_column, train.n_features, train.class_names)
+    fingerprint = dataset_fingerprint(train)
     freqs = ds.class_frequencies(train)
     test_counts = np.bincount(test.labels, minlength=train.n_classes)
 
     columns = {}
     failures = {}
-    for token, (method, hpo_mode, weights) in parsed.items():
-        run_cfg = dict(cfg, method=method, hpo=hpo_mode, weights=weights)
-        if hpo_mode == "fixed":
-            run_cfg.setdefault("params", {})
-        _validate_config(run_cfg)
+    for token, run in runs.items():
         try:
-            model, _, timings = _train_one(run_cfg, train)
-            bundle = ModelBundle(method, model, run_cfg, dataset_fingerprint(train))
-            _, _, columns[token] = _score(
-                bundle, test, run_cfg.get("unknown_action", "assign_last_class"), timings
-            )
-        except ConfigError:
-            raise  # the whole run's config is bad; only training fails a column
-        except SbcError as exc:
+            model, _, timings = _train_one(run, train)
+            bundle = ModelBundle(run.method, model, run.config, fingerprint)
+            _, _, columns[token] = _score(bundle, test, run.unknown_action, timings)
+        except SbcError as exc:  # the config was read whole, so only training fails a column
             failures[token] = str(exc)
 
     # rows: classes in descending train frequency, then summary and timing
@@ -397,7 +391,6 @@ def cmd_benchmark(args) -> int:
               for label, cell in rows]
     table = "\n".join(lines) + "\n"
 
-    out_dir = cfg.get("out_dir", ".")
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "benchmark_report.tsv"), "w", encoding="utf-8") as fh:
         fh.write(table)

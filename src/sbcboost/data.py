@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import csv
 import itertools
-import warnings
+import logging
 from array import array
 from dataclasses import dataclass, fields
 
@@ -24,6 +24,8 @@ from .errors import (
     MissingLabelColumn,
     UnreadableFile,
 )
+
+logger = logging.getLogger(__name__)
 
 # sample weighting schemes compute_sample_weights accepts
 WEIGHT_SCHEMES = ("none", "inverse_frequency")
@@ -296,15 +298,14 @@ def stratified_split(d: Dataset, s: SplitSpec) -> tuple[Dataset, Dataset]:
 
     Per class the test count is round-half-up(count * test_fraction),
     clamped so at least one row stays in training. Single-exemplar classes
-    go entirely to train with a warning.
+    go entirely to train, with a logged warning.
     """
     test_parts = []
     train_parts = []
     for c, idx in shuffled_classes(d.labels, np.random.default_rng(s.seed)):
         if idx.size == 1:
-            warnings.warn(
-                f"class {d.class_names[c]!r} has a single exemplar; kept entirely in train"
-            )
+            logger.warning(
+                "class %r has a single exemplar; kept entirely in train", d.class_names[c])
         k = min(int(np.floor(idx.size * s.test_fraction + 0.5)), idx.size - 1)
         test_parts.append(idx[:k])
         train_parts.append(idx[k:])

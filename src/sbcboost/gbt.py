@@ -139,9 +139,11 @@ class GbtModel:
     def predict_margin(self, X: np.ndarray) -> np.ndarray:
         X = self._check_input(X)
         margin = np.full((X.shape[0], self.n_classes), self.base_score, dtype=np.float64)
-        for group in self.trees:
-            for k, tree in enumerate(group):
-                margin[:, k] += self.params.learning_rate * tree.predict(X)
+        # leaves may sum past the largest double: an infinite margin is a valid vote
+        with np.errstate(over="ignore", invalid="ignore"):
+            for group in self.trees:
+                for k, tree in enumerate(group):
+                    margin[:, k] += self.params.learning_rate * tree.predict(X)
         return margin[:, 0] if self.objective == "binary_logistic" else margin
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:

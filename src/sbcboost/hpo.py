@@ -257,11 +257,12 @@ def halving_grid_search(
             break  # ranked[0] won the rung before
         rng = np.random.default_rng(hc.seed + it)
         sub = _stratified_subsample(y, resources, cv.folds, rng)
+        X_sub, y_sub = X[sub], y[sub]
         scores = {}
         for ci in sorted(ranked[:n_cand]):
             params = replace(base_params, **combos[ci])
             t0 = time.perf_counter()
-            scores[ci] = cross_validate(X[sub], y[sub], params, cv, objective, weights_mode)
+            scores[ci] = cross_validate(X_sub, y_sub, params, cv, objective, weights_mode)
             trials.append(Trial(combos[ci], int(resources), scores[ci], time.perf_counter() - t0))
         ranked = sorted(scores, key=lambda ci: -scores[ci])  # stable: ties keep enumeration order
 

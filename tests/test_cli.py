@@ -1,9 +1,11 @@
+import argparse
 import itertools
 import json
 import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from sbcboost import cli
 from sbcboost import data as ds
 from sbcboost.bundle import ModelBundle
 from sbcboost.errors import BundleError, ConfigError, MalformedRow, StageError
+from sbcboost.gbt import GbtParams
+from sbcboost.hpo import CvConfig, HalvingConfig, HpGrid
 
 from conftest import blob_dataset
 
@@ -111,6 +115,18 @@ class TestPrepare:
         test = ds.load_csv(str(out / "test.csv"), "label")
         assert train.n_rows + test.n_rows == 70
 
+    def test_single_exemplar_message_alone_on_stderr(self, tmp_path):
+        """The message is a log record: Python's last-resort handler writes it
+        without data.py's path or source line."""
+        raw = tmp_path / "raw.csv"
+        raw.write_text("f0,label\n1.0,a\n" + "".join(f"{i}.5,b\n" for i in range(9)))
+        proc = subprocess.run([sys.executable, "-m", "sbcboost.cli", "prepare", "--input",
+                               str(raw), "--out", str(tmp_path / "prep")],
+                              stdin=subprocess.DEVNULL, capture_output=True, text=True,
+                              env=_child_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "class 'a' has a single exemplar; kept entirely in train\n"
+
     def test_prepare_deterministic(self, tmp_path):
         d = blob_dataset([40, 15], seed=5)
         raw = tmp_path / "raw.csv"
@@ -178,12 +194,23 @@ class TestTrain:
         ("grid", {"max_depth": [0, 1]}),
         ("grid", {"num_rounds": [2.5, 5]}),
         ("grid", {"max_depth": {"vals": [1, 2]}}),
+        ("params", {"max_dept": 2}),
+        ("params", {"num_rounds": 2.5}),
+        ("grid_file", "no_such_grid.json"),
     ])
-    def test_bad_section_is_config_error(self, prepared, section, value):
+    def test_bad_section_is_config_error(self, prepared, capsys, section, value):
+        """Every section a run reads is checked before a data file opens: a
+        missing train_csv would exit 3. benchmark reads its sbc+hgs column's
+        sections before its mcc+fixed column trains."""
         tmp_path, cfg, _ = prepared
         p = tmp_path / "bad_section.json"
-        p.write_text(json.dumps(dict(cfg, method="sbc", hpo="hgs", **{section: value})))
-        assert cli.main(["tune", "--config", str(p)]) == cli.EXIT_CONFIG
+        p.write_text(json.dumps(dict(cfg, method="sbc", hpo="hgs",
+                                     train_csv=str(tmp_path / "missing.csv"),
+                                     **{section: value})))
+        for argv in (["train"], ["tune"], ["benchmark", "--methods", "mcc+fixed,sbc+hgs"]):
+            assert cli.main(argv + ["--config", str(p)]) == cli.EXIT_CONFIG, argv
+            assert f"config error: bad {section}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
     @pytest.mark.parametrize("method", ["mcc", "sbc"])
@@ -533,6 +560,24 @@ class TestBenchmark:
         assert rc == cli.EXIT_CONFIG
         assert not (tmp_path / "out" / "benchmark_report.tsv").exists()
 
+    def test_bad_halving_trains_nothing(self, prepared, capsys, monkeypatch):
+        """The sbc+hgs column's halving section is read before the mcc+fixed
+        column trains."""
+        tmp_path, cfg, _ = prepared
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a column trained")
+
+        for module, name in ((cli, "train_multiclass"), (casc, "train_cascade"),
+                             (cli.hpo, "halving_grid_search"), (cli.hpo, "phgs_cascade")):
+            monkeypatch.setattr(module, name, no_training)
+        p = tmp_path / "bad_halving.json"
+        p.write_text(json.dumps(dict(cfg, halving={"factor": 1})))
+        rc = cli.main(["benchmark", "--config", str(p), "--methods", "mcc+fixed,sbc+hgs"])
+        assert rc == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: bad halving: ")
+        assert not (tmp_path / "out").exists()
+
 
 class TestBundle:
     def test_round_trip_predictions(self, prepared):
@@ -609,18 +654,21 @@ class TestBundle:
         assert rc == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 2
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_infinite_margin_predicts_its_class(self, tmp_path, capsys):
         """Class b's 1e308 leaves sum past the largest double over two rounds:
-        its margin is inf, and inf beats every finite margin."""
+        its margin is inf, and inf beats every finite margin. numpy's overflow
+        warning is no fault, so it must not reach stderr."""
         huge = _tree(value=[0.0, 1e308, 1e308])
         path = tmp_path / "bundle.json"
         path.write_text(_bundle_text(trees=[[_tree(), huge]] * 2, params={"learning_rate": 1.0}))
         rows = tmp_path / "rows.csv"
         rows.write_text("0.0,2.0\n1.0,2.0\n")
-        assert cli.main(["predict", "--bundle", str(path), "--input", str(rows)]) == 0
-        out = capsys.readouterr().out
-        assert [json.loads(line)["class"] for line in out.splitlines()] == ["b", "b"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["predict", "--bundle", str(path), "--input", str(rows)]) == 0
+        captured = capsys.readouterr()
+        assert [json.loads(line)["class"] for line in captured.out.splitlines()] == ["b", "b"]
+        assert captured.err == ""
 
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
     def test_bundle_nested_too_deep(self, prepared, capsys, command):
@@ -861,6 +909,12 @@ def test_parse_method_matches_table():
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
 
 
+def _child_env():
+    """This environment, with the package under test first on the path."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")])))
+
+
 class TestConfigValues:
     """Config values that ended in a traceback, read a file descriptor or
     trained a broken model are config errors (exit 2)."""
@@ -889,11 +943,9 @@ class TestConfigValues:
         tmp_path, cfg, _ = prepared
         p = tmp_path / "fd.json"
         p.write_text(json.dumps(dict(cfg, **{key: value})))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-m", "sbcboost.cli", "train", "--config", str(p)],
                               stdin=subprocess.DEVNULL, capture_output=True, text=True,
-                              env=env, cwd=tmp_path, timeout=120)
+                              env=_child_env(), cwd=tmp_path, timeout=120)
         assert proc.returncode == cli.EXIT_CONFIG, proc.stderr
         assert f"{key} must be a string" in proc.stderr
 
@@ -1034,6 +1086,109 @@ class TestConfigFuzz:
             assert cli.main(argv) in (0, 2, 3, 4, 5)
         finally:
             os.chdir(cwd)
+
+
+def reference_validate_config(cfg):
+    """cli._validate_config as it checked a config after _load_config (oracle)."""
+    method = cfg.get("method", "mcc")
+    hpo_mode = cfg.get("hpo", "fixed")
+    if method not in cli.METHODS:
+        raise ConfigError(f"method must be mcc or sbc, got {method!r}")
+    if hpo_mode not in cli.HPO_MODES:
+        raise ConfigError(f"hpo must be one of {'/'.join(cli.HPO_MODES)}, got {hpo_mode!r}")
+    if hpo_mode == "phgs" and method != "sbc":
+        raise ConfigError("hpo=phgs requires method=sbc")
+    if hpo_mode == "fixed" and "params" not in cfg:
+        raise ConfigError("hpo=fixed requires explicit params")
+    if "train_csv" not in cfg:
+        raise ConfigError("config needs train_csv")
+    for key, allowed in (("weights", ds.WEIGHT_SCHEMES), ("unknown_action", casc.UNKNOWN_ACTIONS)):
+        if key in cfg and cfg[key] not in allowed:
+            raise ConfigError(f"{key} must be one of {'/'.join(allowed)}, got {cfg[key]!r}")
+    threshold = cfg.get("threshold", casc.DEFAULT_THRESHOLD)
+    if type(threshold) not in (int, float) or not 0.0 < threshold < 1.0:
+        raise ConfigError(f"threshold must be a number in (0, 1), got {threshold!r}")
+
+
+def reference_search_space(cfg, hpo_mode, n_rows):
+    """cli._search_space, with _grid_from_cfg, as they read a search's grid
+    and halving sections (oracle)."""
+    if "grid_file" in cfg:
+        grid = cli._from_section(cfg, "grid_file",
+                                 lambda p: cli._checked_grid(HpGrid.from_file(p)))
+    else:
+        grid = cli._from_section(cfg, "grid", lambda m: cli._checked_grid(HpGrid.from_mapping(m)),
+                                 cli.DEFAULT_GRID)
+    if hpo_mode == "gs":
+        return HpGrid(grid.values, {}), HalvingConfig(min_resources=n_rows)
+    if hpo_mode == "hgs":
+        grid = HpGrid(grid.values, {})
+    return grid, cli._from_section(cfg, "halving", lambda s: HalvingConfig(**s))
+
+
+def reference_sections(cfg, n_rows):
+    """What _validate_config and _train_one once read from a config, in their
+    order: (method, hpo mode, weights, params, cv, grid, halving, policy,
+    threshold), halving under gs as one rung of ``n_rows`` (oracle)."""
+    reference_validate_config(cfg)
+    method = cfg.get("method", "mcc")
+    hpo_mode = cfg.get("hpo", "fixed")
+    params = cli._from_section(cfg, "params", lambda s: GbtParams(**s))
+    cv = cli._from_section(cfg, "cv", lambda s: CvConfig(**s))
+    threshold = float(cfg.get("threshold", casc.DEFAULT_THRESHOLD))
+    grid = hc = policy = None
+    if hpo_mode != "fixed":
+        grid, hc = reference_search_space(cfg, hpo_mode, n_rows)
+    if method == "sbc":
+        policy = cli._from_section(cfg, "last_stage", lambda s: casc.LastStagePolicy(**s))
+    return (method, hpo_mode, cfg.get("weights", "none"), params, cv, grid, hc, policy,
+            threshold)
+
+
+def _run_sections(cfg, n_rows):
+    """reference_sections' tuple, read through cli._read_run."""
+    run = cli._read_run(cfg)
+    halving = run.halving or (HalvingConfig(min_resources=n_rows) if run.hpo_mode == "gs"
+                              else None)
+    return (run.method, run.hpo_mode, run.weights, run.params, run.cv, run.grid, halving,
+            run.policy, run.threshold)
+
+
+RUN_PAIRS = [("mcc", h) for h in ("fixed", "gs", "hgs")] + \
+    [("sbc", h) for h in ("fixed", "gs", "hgs", "phgs")]
+
+
+class TestReadRunDifferential:
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    def test_matches_reference(self, tmp_path_factory, data):
+        """TestConfigFuzz's single-key mutations, on each method and search:
+        _read_run accepts what the old reads accepted, raises their messages,
+        and reads the same values. Both read the config _load_config gives."""
+        n_rows = 75
+        path = tmp_path_factory.mktemp("run_cfg") / "cfg.json"
+        if data.draw(st.booleans()):
+            mutation = (data.draw(st.sampled_from(FUZZ_TOP_KEYS)), None)
+        else:
+            mutation = data.draw(st.sampled_from(FUZZ_FIELDS))
+        value = data.draw(FUZZ_JSON)
+        for method, hpo_mode in RUN_PAIRS:
+            cfg = json.loads(json.dumps(dict(FUZZ_CONFIG, method=method, hpo=hpo_mode)))
+            key, name = mutation
+            if name is None:
+                cfg[key] = value
+            else:
+                cfg[key][name] = value
+            path.write_text(json.dumps(cfg))
+            outcomes = []
+            for read in (reference_sections, _run_sections):
+                try:
+                    outcomes.append(read(cli._load_config(str(path), argparse.Namespace()),
+                                         n_rows))
+                except ConfigError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1], (method, hpo_mode)
 
 
 # A fuzzed bundle is _bundle_text's mcc or sbc bundle with one field, at any

@@ -1,10 +1,11 @@
 import csv
+import logging
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sbcboost import data as ds
 from sbcboost.errors import (
@@ -501,10 +502,12 @@ class TestSplit:
         assert np.sum(test.labels == 0) == 1
         assert np.sum(train.labels == 0) == 9
 
-    def test_single_row_class_warns(self):
+    def test_single_row_class_warns(self, caplog):
         d = blob_dataset([1, 30], seed=2)
-        with pytest.warns(UserWarning):
-            train, test = ds.stratified_split(d, ds.SplitSpec(0.5, seed=0))
+        train, test = ds.stratified_split(d, ds.SplitSpec(0.5, seed=0))
+        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+            ("sbcboost.data", logging.WARNING,
+             "class 'class0' has a single exemplar; kept entirely in train")]
         assert np.sum(train.labels == 0) == 1
         assert np.sum(test.labels == 0) == 0
 
@@ -566,13 +569,15 @@ def reference_stratified_split(d, s):
                             list(d.feature_names)) for i in (train_idx, test_idx))
 
 
-def _split_rows(split, d, spec):
-    """The row indices of each part, and the warnings raised, in order."""
+def _split_rows(split, d, spec, caplog):
+    """The row indices of each part, and the messages warned or logged, in
+    order: the reference warns, stratified_split logs."""
+    caplog.clear()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         parts = split(d, spec)
     return ([part.features[:, 0].astype(np.int64).tolist() for part in parts],
-            [(w.category, str(w.message)) for w in caught])
+            [str(w.message) for w in caught] + [r.getMessage() for r in caplog.records])
 
 
 class TestSplitDifferential:
@@ -583,8 +588,10 @@ class TestSplitDifferential:
         seed=st.integers(0, 2**32),
         data=st.data(),
     )
-    @settings(max_examples=200, deadline=None)
-    def test_matches_reference(self, counts, frac, seed, data):
+    # caplog is cleared before each split, so one fixture serves every example
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_matches_reference(self, counts, frac, seed, data, caplog):
         """Absent class ids (count 0) and single-row classes among them; the
         row order is shuffled, so a class's rows are not contiguous."""
         order = data.draw(st.permutations(range(sum(counts))))
@@ -592,8 +599,8 @@ class TestSplitDifferential:
         X = np.arange(y.size, dtype=np.float64).reshape(-1, 1)
         d = ds.Dataset(X, y.astype(np.int64), [f"c{i}" for i in range(len(counts))], ["row"])
         spec = ds.SplitSpec(frac, seed=seed)
-        assert _split_rows(ds.stratified_split, d, spec) == \
-            _split_rows(reference_stratified_split, d, spec)
+        assert _split_rows(ds.stratified_split, d, spec, caplog) == \
+            _split_rows(reference_stratified_split, d, spec, caplog)
 
 
 class TestWeights:

@@ -340,8 +340,8 @@ def reference_per_stage_search(train, o, grid, cv, mode, hc=None, weights_mode="
 
 
 class TestSearchDifferential:
-    """gs, hgs and phgs run through cli._search_space and one halving driver
-    reproduce the reference searches bit for bit."""
+    """gs, hgs and phgs read through cli._read_run and run by the one
+    halving search reproduce the reference searches bit for bit."""
 
     # on "separated" every candidate scores the same, so the tie-break
     # decides each winner; on "overlapping" the scores differ
@@ -358,6 +358,11 @@ class TestSearchDifferential:
     }
     CV = CvConfig(folds=3, seed=1)
 
+    def _run(self, method, mode, weights="none"):
+        return cli._read_run(dict(self.CFG, method=method, hpo=mode, weights=weights,
+                                  train_csv="unread.csv", cv={"folds": 3, "seed": 1},
+                                  params={"num_rounds": 5, "max_depth": 2, "seed": 0}))
+
     @staticmethod
     def _same(result, ref):
         assert [(t.params, t.resources, t.score) for t in result.trials] == \
@@ -371,8 +376,7 @@ class TestSearchDifferential:
     def test_cascade(self, data, mode, weights):
         d = blob_dataset(**self.DATASETS[data])
         o = order_classes(class_frequencies(d))
-        grid, hc = cli._search_space(self.CFG, mode, d.n_rows)
-        model, results = phgs_cascade(d, o, grid, self.CV, hc, weights, base_params=FAST)
+        model, results, _ = cli._train_one(self._run("sbc", mode, weights), d)
 
         full_grid = HpGrid.from_mapping(self.CFG["grid"])
         full_hc = HalvingConfig(**self.CFG["halving"])
@@ -391,8 +395,9 @@ class TestSearchDifferential:
         X, y = gaussian_blobs(**self.DATASETS[data])
         if objective == "binary":
             y = (y == 0).astype(np.int64)
-        grid, hc = cli._search_space(self.CFG, mode, y.size)
-        result = halving_grid_search(grid, X, y, self.CV, hc, objective, base_params=FAST)
+        run = self._run("mcc", mode)
+        hc = run.halving or HalvingConfig(min_resources=y.size)  # gs: one rung, every row
+        result = halving_grid_search(run.grid, X, y, run.cv, hc, objective, base_params=run.params)
 
         full_grid = HpGrid.from_mapping(self.CFG["grid"])
         if mode == "gs":
