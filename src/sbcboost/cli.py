@@ -44,9 +44,6 @@ FLAG_KEYS = (("out", "out_dir"), ("weights", "weights"), ("grid", "grid_file"),
 # config keys that must hold strings: open() takes an int as a file descriptor
 STRING_KEYS = ("train_csv", "test_csv", "grid_file", "out_dir", "label_column")
 
-# the timing rows train and benchmark print: (label, timings key)
-TIME_ROWS = (("HPO time", "hpo_s"), ("Train time", "train_s"), ("Test time", "test_s"))
-
 
 def _load_config(path: str, overrides: argparse.Namespace) -> dict:
     try:
@@ -281,7 +278,7 @@ def cmd_train(args) -> int:
         timings = summary.timings
         for label, key in metrics.QUALITY_ROWS:
             print(f"{label:12s}{getattr(summary, key):.4f}")
-    for label, key in TIME_ROWS:
+    for label, key in metrics.TIME_ROWS:
         print(f"{label:12s}{timings.get(key, 0.0):.3f}")
     print(f"bundle written to {bundle_path}")
     return 0
@@ -385,7 +382,8 @@ def cmd_benchmark(args) -> int:
             for c in casc.order_classes(freqs).class_at]
     rows += [(label, lambda s, k=key: f"{getattr(s, k):.4f}")
              for label, key in metrics.QUALITY_ROWS]
-    rows += [(label, lambda s, k=key: f"{s.timings.get(k, 0.0):.3f}") for label, key in TIME_ROWS]
+    rows += [(label, lambda s, k=key: f"{s.timings.get(k, 0.0):.3f}")
+             for label, key in metrics.TIME_ROWS]
     lines = ["\t".join(["class ( name | train | test )"] + methods)]
     lines += ["\t".join([label] + [cell(columns[t]) if t in columns else "FAILED" for t in methods])
               for label, cell in rows]

@@ -218,6 +218,19 @@ def export_csv(d: Dataset, path: str, label_column: str = "label") -> None:
                          for row, c in zip(d.features, d.labels.tolist()))
 
 
+def _finite_median(finite: np.ndarray) -> float:
+    """np.median of finite values, kept finite: where the two middle values
+    sum past the largest double, each is halved before the add, which is
+    exact at that size."""
+    with np.errstate(over="ignore"):
+        median = float(np.median(finite))
+    if np.isfinite(median):
+        return median
+    k = finite.size // 2
+    lo, hi = np.partition(finite, (k - 1, k))[k - 1:k + 1]
+    return float(lo / 2 + hi / 2)
+
+
 def clean(d: Dataset, p: CleaningPolicy) -> tuple[Dataset, CleaningReport]:
     """Apply a CleaningPolicy; returns a Dataset free of NaN/infinite cells.
 
@@ -251,7 +264,7 @@ def clean(d: Dataset, p: CleaningPolicy) -> tuple[Dataset, CleaningReport]:
     elif p.missing_value_action == "impute_zero":
         fill(nan_mask, "cells_imputed", lambda finite, cells: 0.0)
     else:
-        fill(nan_mask, "cells_imputed", lambda finite, cells: float(np.median(finite)))
+        fill(nan_mask, "cells_imputed", lambda finite, cells: _finite_median(finite))
 
     inf_mask = np.isinf(X)
     if p.infinity_action == "drop_row":

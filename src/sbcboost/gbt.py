@@ -389,11 +389,11 @@ def _build_tree(XT, g, h, block, root_cuts, params: GbtParams):
     ``root_cuts`` (see _root_cuts), partitioning it in place: each node owns
     the columns [s, e) of every line, and a split moves its left rows, in
     order, to the front. Nodes are numbered in preorder. Returns the tree and
-    the leaf of each position of the block's last line, its rows."""
+    a row-ordered column of each block row's leaf value; others are unset."""
     lam = params.l2_lambda
     mcw = params.min_child_weight
     goes_left = np.zeros(XT.shape[1], dtype=bool)
-    leaf_of = np.empty(block.shape[1], dtype=np.intp)
+    column = np.empty(XT.shape[1])
     nodes = []                      # (feature, threshold, default_left, value)
     left_of, right_of = [], []      # each node's children; -1 at a leaf
     stack = [(0, block.shape[1], 0, -1, True)]  # (s, e, depth, parent, is_left)
@@ -414,7 +414,7 @@ def _build_tree(XT, g, h, block, root_cuts, params: GbtParams):
                                    root_cuts if node == 0 else None)
         if best is None or best[0] <= _GAIN_EPS:
             nodes.append((-1, 0.0, True, -G / (H + lam) if H + lam else 0.0))
-            leaf_of[s:e] = node
+            column[rows] = nodes[-1][3]
         else:
             _, f, thr, dl = best
             nodes.append((f, thr, dl, 0.0))
@@ -438,7 +438,7 @@ def _build_tree(XT, g, h, block, root_cuts, params: GbtParams):
         if parent >= 0:
             (left_of if is_left else right_of)[parent] = node
     feature, threshold, default_left, value = zip(*nodes)
-    return Tree(feature, threshold, left_of, right_of, default_left, value), leaf_of
+    return Tree(feature, threshold, left_of, right_of, default_left, value), column
 
 
 def _subsample_rows(n, params: GbtParams, round_index: int) -> np.ndarray:
@@ -474,31 +474,35 @@ def _validate_training_input(X, y, w):
 
 
 class _TreeGrower:
-    """A fit's tree builder: ``grower((t, g, h))`` grows round ``t``'s tree
-    from one column's gradients ``g`` and hessians ``h``, and returns it, the
-    round's rows in the order its partition left them, and their leaf values.
+    """The one owner of a fit's boosting rounds: ``grower((t, g, h))`` grows
+    round ``t``'s tree from one column's gradients ``g`` and hessians ``h``
+    and returns it and its leaf value at every row, a row-ordered column.
 
-    It keeps the round's rows and their root cuts, which depend only on the
-    rows: found once per fit without subsampling, else once per round from
-    the seed. A fork pool's workers inherit it and work them out alike."""
+    It draws a round's sample from the seed and builds its block and root
+    cuts once (once per fit without subsampling); each tree partitions a
+    copy of the block, and unsampled rows take Tree.predict's values. A fork
+    pool's workers inherit it and work the rounds out alike."""
 
-    def __init__(self, XT, p: GbtParams):
-        self.XT, self.p = XT, p
-        self.order = _sort_columns(XT)
+    def __init__(self, X, p: GbtParams):
+        self.X, self.XT, self.p = X, np.ascontiguousarray(X.T), p
+        self.order = _sort_columns(self.XT)
         self._use_round(0)
 
     def _use_round(self, t):
         self.round = t
-        self.rows = _subsample_rows(self.XT.shape[1], self.p, t)
-        self.root_cuts = _root_cuts(self.XT, _tree_block(self.order, self.rows))
+        rows = _subsample_rows(self.X.shape[0], self.p, t)
+        self.out = np.delete(np.arange(self.X.shape[0]), rows)
+        self.block = _tree_block(self.order, rows)
+        self.root_cuts = _root_cuts(self.XT, self.block)
 
     def __call__(self, task):
         t, g, h = task
         if t != self.round and self.p.subsample < 1.0:
             self._use_round(t)
-        block = _tree_block(self.order, self.rows)
-        tree, leaf_of = _build_tree(self.XT, g, h, block, self.root_cuts, self.p)
-        return tree, block[-1], tree.value.take(leaf_of)
+        tree, column = _build_tree(self.XT, g, h, self.block.copy(), self.root_cuts, self.p)
+        if self.out.size:
+            column[self.out] = tree.predict(self.X[self.out])
+        return tree, column
 
 
 _worker_grower = None  # a pool worker's inherited _TreeGrower; None elsewhere
@@ -541,29 +545,19 @@ def _tree_map(grower, n_trees):
 def _boost(X, p: GbtParams, margin, grad_hess) -> list[list[Tree]]:
     """Each round, grow one tree per column of the (n, K) ``margin`` from
     ``grad_hess(margin)``'s (n, K) gradients and hessians, and add its scaled
-    leaf values to that column in place. Keep ``margin`` C-contiguous: from
-    K = 8 on, softmax row sums round differently in another layout.
+    leaf value column to that column in place. Keep ``margin`` C-contiguous:
+    from K = 8 on, softmax row sums round differently in another layout.
 
     A round's trees depend only on its gradients, so _tree_map may grow them
     at once; their values are added in column order all the same."""
-    n, n_trees = margin.shape
-    grower = _TreeGrower(np.ascontiguousarray(X.T), p)
     trees = []
-    with _tree_map(grower, n_trees) as tree_map:
+    with _tree_map(_TreeGrower(X, p), margin.shape[1]) as tree_map:
         for t in range(p.num_rounds):
             g, h = (np.ascontiguousarray(a.T) for a in grad_hess(margin))
-            rows = _subsample_rows(n, p, t)
-            out = None  # the rows outside the sample
-            if rows.size < n:
-                out = np.setdiff1d(np.arange(n), rows, assume_unique=True)
             group = []
-            tasks = [(t, g[k], h[k]) for k in range(n_trees)]
-            for k, (tree, leaf_rows, values) in enumerate(tree_map(tasks)):
+            for k, (tree, column) in enumerate(tree_map([(t, *gh) for gh in zip(g, h)])):
                 group.append(tree)
-                # the sampled rows' leaves are known from the partition
-                margin[leaf_rows, k] += p.learning_rate * values
-                if out is not None:
-                    margin[out, k] += p.learning_rate * tree.predict(X[out])
+                margin[:, k] += p.learning_rate * column
             trees.append(group)
     return trees
 

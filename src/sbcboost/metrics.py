@@ -17,6 +17,8 @@ UNKNOWN = -1  # sentinel prediction label for rows rejected by every stage
 
 # the quality rows every summary prints: (label, EvalSummary field)
 QUALITY_ROWS = (("Accuracy", "accuracy"), ("Average F1", "avg_f1"), ("Std-dev F1", "std_f1"))
+# the wall-time rows: (label train and benchmark print, timings key)
+TIME_ROWS = (("HPO time", "hpo_s"), ("Train time", "train_s"), ("Test time", "test_s"))
 
 
 @dataclass(frozen=True)
@@ -141,7 +143,7 @@ def format_summary(summary: EvalSummary, class_names: list[str]) -> str:
         lines.append(f"{name:30s} {r.precision:9.4f} {r.recall:9.4f} {r.f1:9.4f} {r.support:8d}")
     lines.append("")
     lines += [f"{label:12s}{getattr(summary, key):.4f}" for label, key in QUALITY_ROWS]
-    for key in ("hpo_s", "train_s", "test_s"):
+    for _, key in TIME_ROWS:
         if key in summary.timings:
             lines.append(f"{key:11s} {summary.timings[key]:.3f}")
     return "\n".join(lines) + "\n"

@@ -764,7 +764,9 @@ class TestCliFuzz:
 
 
 def _mask_times(text):
-    """``text`` with the digits of its timing rows masked: wall times vary."""
+    """``text`` with the digits of its timing rows, and of the wall times its
+    JSON records, masked: wall times vary."""
+    text = re.sub(r'("(?:seconds|train_seconds|hpo_s|train_s|test_s)": )[^,}\n]+', r"\1#", text)
     return re.sub(r"(?m)^((?:HPO|Train|Test) time|hpo_s|train_s|test_s)\b(.*)$",
                   lambda m: m.group(1) + re.sub(r"\d", "#", m.group(2)), text)
 
@@ -857,6 +859,73 @@ class TestPinnedText:
         assert _mask_times(capsys.readouterr().out) == (
             "HPO time    #.###\nTrain time  #.###\nTest time   #.###\n"
             f"bundle written to {tmp_path / 'out'}/bundle.json\n")
+
+
+# a child that runs the CLI, pinned to one CPU before sbcboost is imported
+# when its first argument is "pin"
+PINNABLE_CLI = """\
+import os, sys
+if sys.argv[1] == "pin":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from sbcboost.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+class TestPinnedRun:
+    """A run whose children each see one CPU writes the same bytes as one
+    whose children see them all, wall times masked: the unpinned mcc fit
+    grows each round's trees in a fork pool, the pinned one in order."""
+
+    STEPS = [
+        ["prepare", "--input", "raw.csv", "--out", "prep", "--test-fraction", "0.25"],
+        ["train", "--config", "mcc.json"],
+        ["tune", "--config", "sbc.json"],
+        ["evaluate", "--bundle", "sbc/bundle.json", "--test", "prep/test.csv", "--out", "eval"],
+        ["predict", "--bundle", "mcc/bundle.json", "--input", "features.csv",
+         "--out", "mcc.jsonl"],
+        ["predict", "--bundle", "sbc/bundle.json", "--input", "features.csv",
+         "--out", "sbc.jsonl"],
+    ]
+
+    @staticmethod
+    def _run(cwd, pin, d):
+        """Every step's output, stdout and stderr, masked, in ``cwd``."""
+        ds.export_csv(d, str(cwd / "raw.csv"))
+        np.savetxt(cwd / "features.csv", d.features[::7], delimiter=",", fmt="%.17g")
+        common = {"train_csv": "prep/train.csv", "test_csv": "prep/test.csv",
+                  "cv": {"folds": 2, "seed": 0}}
+        (cwd / "mcc.json").write_text(json.dumps(dict(
+            common, method="mcc", hpo="fixed", out_dir="mcc",
+            params={"num_rounds": 3, "max_depth": 3, "subsample": 0.7, "seed": 4})))
+        (cwd / "sbc.json").write_text(json.dumps(dict(
+            common, method="sbc", hpo="phgs", out_dir="sbc",
+            halving={"factor": 2, "min_resources": 40, "seed": 0},
+            grid={"max_depth": [1, 2], "num_rounds": [2, 4]})))
+        got = {}
+        for i, argv in enumerate(TestPinnedRun.STEPS):
+            proc = subprocess.run([sys.executable, "-c", PINNABLE_CLI, pin] + argv,
+                                  stdin=subprocess.DEVNULL, capture_output=True, text=True,
+                                  env=_child_env(), cwd=cwd, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            got[f"step {i} stdout"] = _mask_times(proc.stdout)
+            got[f"step {i} stderr"] = proc.stderr
+        for path in sorted(cwd.rglob("*")):
+            if path.is_file():
+                got[str(path.relative_to(cwd))] = _mask_times(path.read_text())
+        return got
+
+    def test_same_bytes_pinned_and_unpinned(self, tmp_path):
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("one usable CPU: an unpinned mcc fit would start no pool")
+        d = blob_dataset([240, 80, 40, 16], seed=8, scale=3.0)
+        runs = {}
+        for pin in ("pin", "all"):
+            (tmp_path / pin).mkdir()
+            runs[pin] = self._run(tmp_path / pin, pin, d)
+        assert runs["pin"] == runs["all"]
+        assert "mcc/bundle.json" in runs["pin"] and "sbc/hpo_trials_stage0.jsonl" in runs["pin"]
 
 
 # _parse_method as it once read its suffix from a table, plus the rule that

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from sbcboost import data as ds
 from sbcboost.errors import (
@@ -337,6 +337,18 @@ class TestClean:
         assert cleaned.features[0, 0] == 3.0
         assert report.cells_imputed == 1
 
+    def test_impute_median_of_huge_values_is_finite(self):
+        # the two middle values, 1.5e308 and 1.6e308, sum past the largest double
+        d = self._make([[1e308], [1.5e308], [np.nan], [1.6e308], [1.7e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cleaned, report = ds.clean(d, ds.CleaningPolicy(
+                missing_value_action="impute_median", drop_duplicates=False))
+        assert cleaned.features[:, 0].tolist() == [1e308, 1.5e308, 1.55e308, 1.6e308, 1.7e308]
+        assert report.cells_imputed == 1
+        assert report.rows_dropped_infinite == 0
+        assert report.rows_out == 5
+
     @pytest.mark.parametrize("action, rows, clamped", [
         ("drop_row", [[1.0, 5.0]], 0),
         ("clamp_zero", [[0.0, 5.0], [1.0, 5.0], [1.0, 0.0]], 2),
@@ -399,7 +411,14 @@ def reference_clean(d, p):
                 m = np.isnan(col)
                 if m.any():
                     finite = col[~m & np.isfinite(col)]
-                    col[m] = float(np.median(finite)) if finite.size else 0.0
+                    median = 0.0
+                    if finite.size:
+                        with np.errstate(over="ignore"):
+                            median = float(np.median(finite))
+                    if not np.isfinite(median):  # the middle pair sums past the largest double
+                        middle = np.sort(finite)[finite.size // 2 - 1:finite.size // 2 + 1]
+                        median = float(middle[0] / 2 + middle[1] / 2)
+                    col[m] = median
 
     inf_mask = np.isinf(X)
     if inf_mask.any():
@@ -486,6 +505,11 @@ def _cleaned(clean, d, p):
 
 
 class TestCleanDifferential:
+    # each column's two middle finite values sum past the largest double,
+    # up in the first and down in the second
+    @example(d=ds.Dataset(np.array([[1e308, -1.7e308], [1.5e308, np.nan], [np.nan, -1.6e308],
+                                    [1.6e308, -1.5e308], [1.7e308, 2.0]]),
+                          np.array([0, 1, 2, 0, 1]), ["a", "b", "c"], ["f0", "f1"]))
     @given(d=dirty_datasets())
     @settings(max_examples=300, deadline=None)
     def test_matches_reference_under_every_policy(self, d):

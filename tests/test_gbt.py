@@ -625,11 +625,11 @@ class TestPresortDifferential:
         XT = np.ascontiguousarray(X.T)
         block = gbt._tree_block(gbt._sort_columns(XT), rows)
         with np.errstate(all="ignore"):
-            got, leaf_of = gbt._build_tree(XT, g, h, block, gbt._root_cuts(XT, block), p)
+            got, column = gbt._build_tree(XT, g, h, block, gbt._root_cuts(XT, block), p)
             want = reference_build_tree(X, g, h, rows, p)
         assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
-        # the partition leaves each row at the leaf the tree sends it to
-        assert np.array_equal(got.value[leaf_of], want.predict(X[block[-1]]), equal_nan=True)
+        # the partition gives each row the value of the leaf the tree sends it to
+        assert np.array_equal(column[rows], want.predict(X[rows]), equal_nan=True)
 
 
 def _split_node(X, g, h, rows, lam, mcw, pad=(0, 0)):
