@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -296,24 +297,55 @@ def cmd_evaluate(args) -> int:
 def cmd_predict(args) -> int:
     bundle = ModelBundle.load(args.bundle)
     raw = _load_unlabeled(args.input, bundle)
-    names = bundle.class_names
     # every row is predicted before the output is opened, so a failing
     # predict leaves no partial file
     if bundle.kind == "mcc":
-        pred = bundle.model.predict_class(raw)
-        records = ({"row": i, "class": names[c]} for i, c in enumerate(pred))
+        lines = _class_lines(bundle.class_names, bundle.model.predict_class(raw).tolist())
     else:
-        pred = casc.predict_batch(bundle.model, raw, "emit_unknown")
-        records = ({"row": i, "class": "UNKNOWN" if p.is_unknown else names[p.class_id],
-                    "trace": [[s, round(prob, 6)] for s, prob in p.stage_trace]}
-                   for i, p in enumerate(pred))
-    lines = (json.dumps(r) + "\n" for r in records)
+        lines = _trace_lines(bundle.class_names,
+                             casc.predict_batch(bundle.model, raw, "emit_unknown"))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.writelines(lines)
     else:
         sys.stdout.writelines(lines)
     return 0
+
+
+# predict's lines are json.dumps's text of {"row": i, "class": name} (mcc)
+# and {"row": i, "class": name, "trace": [[stage, round(p, 6)], ...]} (sbc),
+# written without a dict or a dumps per row: each name is encoded once
+
+
+def _json_float(x: float) -> str:
+    """``x`` as json.dumps writes it: its repr, or NaN, Infinity, -Infinity."""
+    return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
+
+
+class _CellTexts(dict):
+    """Trace cell texts by (stage, probability). A cascade gives few
+    distinct cells, so each is rounded and formatted once."""
+
+    def __missing__(self, cell):
+        stage, p = cell
+        text = f"[{stage}, {_json_float(round(p, 6))}]"
+        if p:  # 0.0 and -0.0 are one key but two texts
+            self[cell] = text
+        return text
+
+
+def _class_lines(names: list[str], class_ids: list[int]):
+    quoted = [json.dumps(name) for name in names]
+    return (f'{{"row": {i}, "class": {quoted[c]}}}\n' for i, c in enumerate(class_ids))
+
+
+def _trace_lines(names: list[str], preds: list[casc.Prediction]):
+    quoted, unknown = [json.dumps(name) for name in names], json.dumps("UNKNOWN")
+    texts = _CellTexts()
+    for i, p in enumerate(preds):
+        trace = ", ".join([texts[cell] for cell in p.stage_trace])
+        name = unknown if p.is_unknown else quoted[p.class_id]
+        yield f'{{"row": {i}, "class": {name}, "trace": [{trace}]}}\n'
 
 
 def _load_unlabeled(path: str, bundle: ModelBundle) -> np.ndarray:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import itertools
 import logging
+import os
 from array import array
 from dataclasses import dataclass, fields
 
@@ -128,37 +129,114 @@ def _parse_row(ri: int, row: list[str], columns: list[str]) -> list[float]:
     return out
 
 
-def _read_csv(path: str, label_column: str | None = None):
-    """One pass over a comma-delimited UTF-8 file, parsing each row as
-    csv.reader yields it: blank lines are skipped, a row's width is checked
-    once, its label cell (if any) popped and stripped, and its feature cells
-    parsed under _parse_row's rules into an 8-bytes-per-cell buffer.
+def _header(first: list[str], label_column: str | None):
+    """(columns, label index, whether ``first`` is a header) for a file's
+    first row. With a label column the row is a header holding it; without,
+    it is one only if one of its cells is neither numeric nor blank, "NaN"
+    or "nan", and the columns are named by position otherwise."""
+    if label_column is not None:
+        if label_column not in first:
+            raise MissingLabelColumn(f"{label_column!r} not in {first}")
+        i = first.index(label_column)
+        return first[:i] + first[i + 1:], i, True
+    names = [str(i) for i in range(len(first))]
+    try:
+        _parse_row(0, first, names)
+    except MalformedRow:
+        return first, None, True
+    return names, None, False
 
-    Returns (features, labels, class_names, feature_names). Without a
-    label column the labels are empty, and row 0 is a header only if one of
-    its cells is neither numeric nor blank, "NaN" or "nan".
+
+def _read_csv(path: str, label_column: str | None = None):
+    """(features, labels, class_names, feature_names) of a comma-delimited
+    UTF-8 file whose first row _header reads. Without a label column the
+    labels are empty.
+
+    A regular file is first read whole by _load_array; any file it does not
+    read exactly as the rows would be read goes to _read_rows, the one source
+    of errors, row indices and blank-cell NaNs.
     """
+    if os.path.isfile(path):  # a pipe can be read only once
+        try:
+            return _load_array(path, label_column)
+        except (ValueError, MissingLabelColumn):
+            pass  # the row path runs outside the handler, so the attempt's arrays are freed
+    return _read_rows(path, label_column)
+
+
+_LOADTXT = {"delimiter": ",", "comments": None, "quotechar": None}
+
+
+def _comma_count(path: str) -> int:
+    """The commas in ``path``, counted in blocks of half csv's field size
+    limit. ValueError where csv could split the file other than at its line
+    ends and commas (a quote or NUL byte anywhere), or where a field could
+    pass that limit (a whole block with no line end)."""
+    block, commas = max(1, csv.field_size_limit() // 2), 0
+    with open(path, "rb") as fh:
+        while chunk := fh.read(block):
+            if b'"' in chunk or b"\0" in chunk or (len(chunk) == block and b"\n" not in chunk):
+                raise ValueError(f"{path} is not plain comma-separated lines")
+            commas += chunk.count(b",")
+    return commas
+
+
+def _load_array(path: str, label_column: str | None):
+    """_read_rows's result through np.loadtxt: one read of the feature
+    columns and one of the label column. Raises ValueError (or _header's
+    MissingLabelColumn) for any file the row path might read otherwise or
+    reject: a blank first line, no body row, a cell loadtxt cannot parse (a
+    blank one among them), a row wider than the header, or a file
+    _comma_count refuses. With no quote in the file, csv's rows are its
+    non-blank lines cut at commas, and a line's width is checked by the
+    total of commas."""
+    with open(path, encoding="utf-8") as fh:  # \r, \r\n and \n end a line, as in csv
+        first = fh.readline().rstrip("\n").split(",")
+        if first == [""]:
+            raise ValueError(f"{path} does not start with a row")
+        width = len(first)
+        columns, label_idx, header = _header(first, label_column)
+        if not header:
+            fh.seek(0)
+        body = fh.tell()
+        while (line := fh.readline()) == "\n":
+            pass
+        if not line:  # loadtxt would warn that it read no data
+            raise ValueError(f"{path} has no body row")
+        fh.seek(body)
+        features = np.loadtxt(fh, usecols=[i for i in range(width) if i != label_idx],
+                              ndmin=2, **_LOADTXT)
+        raw, class_index = [], {}
+        if label_idx is not None:
+            fh.seek(body)  # object cells: a str dtype reads in chunks, warning at blank lines
+            raw = np.loadtxt(fh, usecols=[label_idx], dtype=object, ndmin=1, **_LOADTXT)
+        labels = np.fromiter((class_index.setdefault(name.strip(), len(class_index))
+                              for name in raw), np.int64, len(raw))
+    # usecols lets a row hold more cells than it reads, and every row holds
+    # at least ``width``, since the two reads take each index below it
+    if _comma_count(path) != (width - 1) * (len(features) + header):
+        raise ValueError(f"{path} has a row wider than its first")
+    return features, labels, list(class_index), columns
+
+
+def _read_rows(path: str, label_column: str | None = None):
+    """One pass over the file, parsing each row as csv.reader yields it:
+    blank lines are skipped, a row's width is checked once, its label cell
+    (if any) popped and stripped, and its feature cells parsed under
+    _parse_row's rules into an 8-bytes-per-cell buffer. Returns what
+    _read_csv does."""
     X, labels, class_index = array("d"), array("q"), {}
     ri = None  # the body row last parsed, once the first row is read
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = filter(None, csv.reader(fh))
-            columns = next(rows, None)
-            if columns is None:
+            first = next(rows, None)
+            if first is None:
                 raise EmptyDataset(path)
-            width, label_idx = len(columns), None
-            if label_column is not None:
-                if label_column not in columns:
-                    raise MissingLabelColumn(f"{label_column!r} not in {columns}")
-                label_idx = columns.index(label_column)
-                columns = columns[:label_idx] + columns[label_idx + 1:]
-            else:
-                names = [str(i) for i in range(width)]
-                try:
-                    _parse_row(0, columns, names)
-                    rows, columns = itertools.chain([columns], rows), names
-                except MalformedRow:
-                    pass
+            width = len(first)
+            columns, label_idx, header = _header(first, label_column)
+            if not header:
+                rows = itertools.chain([first], rows)
             ri = -1
             for ri, row in enumerate(rows):
                 if len(row) != width:

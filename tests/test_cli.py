@@ -449,6 +449,46 @@ def reference_predict_text(bundle, X):
     return "\n".join(json.dumps(r) for r in records) + "\n"
 
 
+# trace probabilities json.dumps spells apart, and ones on a 6th-place
+# rounding boundary
+PROBS = [NAN, INF, -INF, 0.0, -0.0, 1.0, 5e-7, 2.5e-7, 0.1234565, 0.9999995, 1.0000005]
+# class names json.dumps escapes: quotes, backslashes, non-ASCII and control characters
+NAME_CHARS = 'ab"\\\x00\x1f\t\n\u00e9\u2028\U0001f600 ,'
+
+
+def reference_trace_lines(names, preds):
+    return [json.dumps({"row": i, "class": "UNKNOWN" if p.is_unknown else names[p.class_id],
+                        "trace": [[s, round(prob, 6)] for s, prob in p.stage_trace]}) + "\n"
+            for i, p in enumerate(preds)]
+
+
+class TestPredictLines:
+    @given(names=st.lists(st.text(NAME_CHARS, max_size=5) | st.text(max_size=5),
+                          min_size=1, max_size=4),
+           data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_match_json_dumps(self, names, data):
+        """Each line, for either bundle kind, is json.dumps's text of the
+        record that predict once built as a dict."""
+        class_id = st.integers(0, len(names) - 1)
+        ids = data.draw(st.lists(class_id, max_size=5))
+        assert list(cli._class_lines(names, ids)) == [
+            json.dumps({"row": i, "class": names[c]}) + "\n" for i, c in enumerate(ids)]
+        cell = st.tuples(st.integers(0, 12), st.sampled_from(PROBS) | st.floats())
+        preds = data.draw(st.lists(st.builds(casc.Prediction, st.none() | class_id,
+                                             st.lists(cell, min_size=1, max_size=4)),
+                                   max_size=5))
+        assert list(cli._trace_lines(names, preds)) == reference_trace_lines(names, preds)
+
+    def test_repeated_cells(self):
+        """A cell met again is written as before; 0.0 and -0.0, one key of
+        the cell texts, keep their own texts."""
+        cells = [(0, 0.25), (1, -0.0), (1, 0.0), (1, -0.0), (0, 0.25), (2, NAN), (2, NAN),
+                 (0, 1e-9), (0, -1e-9)]
+        preds = [casc.Prediction(i % 2 or None, [cell]) for i, cell in enumerate(cells)]
+        assert list(cli._trace_lines(["a", "b"], preds)) == reference_trace_lines(["a", "b"], preds)
+
+
 class TestUnreadableInput:
     """Files the reader cannot decode or split, and paths it cannot open,
     end in a data error's exit code rather than a traceback."""

@@ -65,29 +65,38 @@ class TestLoadCsv:
 
 def reference_features(path, label_column):
     """load_csv's feature matrix as its earlier cell-by-cell loop read it.
-    The first bad row in file order, ragged or not, raises MalformedRow."""
+    The first bad row in file order, ragged, non-numeric or one csv cannot
+    split (a field over its size limit, or NUL before Python 3.11), raises
+    MalformedRow."""
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = [r for r in csv.reader(fh) if r]
-    columns, body = rows[0], rows[1:]
-    label_idx = columns.index(label_column)
-    features = np.empty((len(body), len(columns) - 1), dtype=np.float64)
-    for ri, row in enumerate(body):
-        if len(row) != len(columns):
-            raise MalformedRow(ri, "ragged")
-        ci = 0
-        for i, cell in enumerate(row):
-            if i == label_idx:
-                continue
-            cell = cell.strip()
-            if cell in ("", "NaN", "nan"):
-                features[ri, ci] = np.nan
-            else:
-                try:
-                    features[ri, ci] = float(cell)
-                except ValueError:
-                    raise MalformedRow(ri, "non-numeric")
-            ci += 1
-    return features
+        rows = filter(None, csv.reader(fh))
+        columns = next(rows)
+        label_idx = columns.index(label_column)
+        features = []
+        while True:
+            ri = len(features)
+            try:
+                row = next(rows, None)
+            except csv.Error:
+                raise MalformedRow(ri, "csv") from None
+            if row is None:
+                break
+            if len(row) != len(columns):
+                raise MalformedRow(ri, "ragged")
+            values = []
+            for i, cell in enumerate(row):
+                if i == label_idx:
+                    continue
+                cell = cell.strip()
+                if cell in ("", "NaN", "nan"):
+                    values.append(np.nan)
+                else:
+                    try:
+                        values.append(float(cell))
+                    except ValueError:
+                        raise MalformedRow(ri, "non-numeric")
+            features.append(values)
+    return np.array(features, dtype=np.float64).reshape(len(features), len(columns) - 1)
 
 
 # The readers before they streamed: each held the whole file as strings, and
@@ -96,7 +105,10 @@ def reference_features(path, label_column):
 
 def _reference_rows(path):
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = [r for r in csv.reader(fh) if r]
+        try:
+            rows = [r for r in csv.reader(fh) if r]
+        except csv.Error as exc:  # NUL before Python 3.11; reference_features names the row
+            raise MalformedRow(None, str(exc)) from None
     if not rows:
         raise EmptyDataset(path)
     return rows
@@ -168,20 +180,28 @@ def _same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-CELLS = ["", " ", "NaN", "nan", " nan ", "-nan", "NAN", "1.5", " -2 ", "1e400", "-inf",
-         "1_0", "0.1", "abc", "0x1"]
-GOOD_CELLS = CELLS[:-2]
+# cells float() and np.loadtxt read alike: a file of them takes the array path
+PLAIN_CELLS = ["NaN", "nan", " nan ", "-nan", "NAN", "1.5", " -2 ", "1e400", "-inf", "0.1",
+               "\t2\t", "+nan", "infinity"]
+# cells float() reads, blank ones as NaN; loadtxt reads none of the four added
+GOOD_CELLS = PLAIN_CELLS + ["", " ", "1_0", "\uff11"]
+# cells float() rejects, or csv cannot split: NUL before Python 3.11, and a
+# field over csv's size limit
+BAD_CELLS = ["abc", "0x1", "#1", "1d0", "1\x00", "9" * (csv.field_size_limit() + 1)]
+CELLS = GOOD_CELLS + BAD_CELLS
 # what a fault does to a row: drop or add a cell, or put a bad cell in it
 FAULTS = ["drop", "extra", "abc", "1,5", "2\n3"]
-LABELS = ["x", " x ", "y,z", "two\nlines", 'say "hi"', ""]
+LABELS = ["x", " x ", "y,z", "two\nlines", 'say "hi"', "", '"q"', "#x", "a\x00", "\t2\t"]
+
+
+def _grid(cells):
+    """One to six rows of three cells drawn from ``cells``."""
+    return st.lists(st.lists(st.sampled_from(cells), min_size=3, max_size=3),
+                    min_size=1, max_size=6)
 
 
 class TestCellRules:
-    @given(
-        cells=st.lists(st.lists(st.sampled_from(CELLS), min_size=3, max_size=3),
-                       min_size=1, max_size=6),
-        label_at=st.integers(0, 3),
-    )
+    @given(cells=_grid(CELLS) | _grid(PLAIN_CELLS + BAD_CELLS), label_at=st.integers(0, 3))
     @settings(max_examples=200, deadline=None)
     def test_readers_match_reference(self, tmp_path_factory, cells, label_at):
         """load_csv, load_features and the old loop agree bit for bit,
@@ -210,8 +230,7 @@ class TestCellRules:
             assert _same_bits(got, expect)
 
     @given(
-        rows=st.lists(st.lists(st.sampled_from(GOOD_CELLS), min_size=3, max_size=3),
-                      min_size=1, max_size=6),
+        rows=_grid(GOOD_CELLS) | _grid(PLAIN_CELLS),
         faults=st.lists(st.tuples(st.integers(0, 5), st.sampled_from(FAULTS)), max_size=2),
         blanks=st.lists(st.integers(0, 6), max_size=2),
         labels=st.lists(st.sampled_from(LABELS), min_size=6, max_size=6),
@@ -271,6 +290,47 @@ class TestCellRules:
         else:
             assert _same_bits(ds.load_features(unlabeled), want_u)
 
+    @pytest.mark.parametrize("text, label_column", [
+        ("f0,label,f1\n1,a,2\n3,b,4,5\n", "label"),   # a row wider than the header
+        ("f0,f1\n1,2\n3,4,5\n", None),
+        ("f0,f1,label\n1,2\n", "label"),               # a row narrower than it
+        ("f0,f1,label\n1,2,#x\n3,4,a\n", "label"),     # loadtxt's default comment mark
+        ("f0,f1,label\n#1,2,a\n", "label"),
+        ('f0,f1,label\n1,2,"q"\n', "label"),            # quotes loadtxt would keep
+        ("f0,f1,label\n1,2,a\x00\n", "label"),          # NUL, which csv rejects before 3.11
+        ("f0,f1,label\n1,2\x00,a\n", "label"),
+        ("f0,f1,label\n1," + "0" * 131072 + "2,a\n", "label"),  # a field over csv's limit
+        ("f0,f1,label\n\n\n", "label"),                 # no body row: loadtxt would warn
+        ("f0,f1\n\n", None),
+        ("\nf0,f1,label\n1,2,a\n", "label"),            # csv skips a blank first line
+        ("\nx\na\n", ""),
+        ("f0,f1,label\n1,2,a\n\n3,4,b\n", "label"),      # a str dtype warns at blank lines
+        ("1,2\n\n3,4\n", None),
+        ("f0,f1,label\r\n1,2,a\r\n3,4,b", "label"),     # CRLF, no last line end
+        ("f0,f1,label\r1,2,a\r3,4,b\r", "label"),
+        ("f0,f1,label\n1,2, a\n3,4,a \n", "label"),    # stripped labels share a class
+        ("f0,f1,label\n1,1d0,a\n", "label"),
+        ("f0,f1,label\n1,\uff12,a\n", "label"),
+        ("label\na\n b\n", "label"),                    # no feature column
+    ])
+    def test_array_path_traps(self, tmp_path, text, label_column):
+        """Files np.loadtxt could read otherwise than csv: _read_csv reads
+        each as the row path does, or fails as it does, and warns of nothing."""
+        path = str(tmp_path / "trap.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+
+        def outcome(read):
+            try:
+                X, labels, class_names, columns = read(path, label_column)
+            except (MalformedRow, EmptyDataset, MissingLabelColumn) as exc:
+                return type(exc).__name__, getattr(exc, "row_index", None)
+            return X.shape, X.view(np.int64).tobytes(), labels.tolist(), class_names, columns
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert outcome(ds._read_csv) == outcome(ds._read_rows)
+
     def test_first_bad_row_in_file_order(self, tmp_path):
         # the old load_csv checked every width first, so it named row 2
         p = tmp_path / "order.csv"
@@ -280,28 +340,68 @@ class TestCellRules:
         assert exc.value.row_index == 1
 
 
+class TestReaderPaths:
+    def test_clean_files_skip_csv_reader(self, tmp_path, monkeypatch):
+        """np.loadtxt reads a clean labelled and a clean unlabelled file
+        whole, as the row path would; a file with one blank cell reaches
+        csv.reader."""
+        src = blob_dataset([20, 10, 5], n_features=4, seed=3)
+        labeled, unlabeled, blank = (str(tmp_path / f) for f in ("l.csv", "u.csv", "b.csv"))
+        ds.export_csv(src, labeled)
+        rows = [",".join(map(repr, row)) for row in src.features.tolist()]
+        with open(unlabeled, "w", encoding="utf-8") as fh:
+            fh.write("f0,f1,f2,f3\n" + "\n".join(rows) + "\n")
+        with open(blank, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(rows[:-1] + ["," + rows[-1].split(",", 1)[1]]) + "\n")
+        want, want_u = reference_load_csv(labeled, "label"), reference_load_features(unlabeled)
+
+        class CsvReaderCalled(Exception):
+            pass
+
+        def reader(*args, **kwargs):
+            raise CsvReaderCalled
+
+        monkeypatch.setattr(ds.csv, "reader", reader)
+        got = ds.load_csv(labeled, "label")
+        assert _same_bits(got.features, want.features) and _same_bits(got.features, src.features)
+        assert got.labels.tolist() == want.labels.tolist()
+        assert got.class_names == want.class_names
+        assert got.feature_names == want.feature_names
+        assert _same_bits(ds.load_features(unlabeled), want_u)
+        with pytest.raises(CsvReaderCalled):
+            ds.load_features(blank)
+
+
 class TestReaderMemory:
     def test_peak_within_twice_the_matrix(self, tmp_path):
         """Neither reader holds the file as strings: tracemalloc's peak is
         at most twice the bytes of the matrix it returns."""
         X = np.round(np.random.default_rng(0).random((20_000, 40)) * 1000, 3)
-        text = "\n".join(",".join(map(repr, row)) for row in X.tolist())
+        lines = [",".join(map(repr, row)) for row in X.tolist()]
         labels = [f"class{i % 7}" for i in range(len(X))]
-        labeled, unlabeled = tmp_path / "l.csv", tmp_path / "u.csv"
+        labeled, unlabeled, late = tmp_path / "l.csv", tmp_path / "u.csv", tmp_path / "late.csv"
         header = ",".join(f"f{j}" for j in range(X.shape[1]))
-        unlabeled.write_text(header + "\n" + text + "\n")
+        unlabeled.write_text(header + "\n" + "\n".join(lines) + "\n")
         labeled.write_text(header + ",label\n" + "\n".join(
-            f"{line},{name}" for line, name in zip(text.split("\n"), labels)) + "\n")
-        del text
-        for read in (lambda: ds.load_csv(str(labeled), "label").features,
-                     lambda: ds.load_features(str(unlabeled))):
+            f"{line},{name}" for line, name in zip(lines, labels)) + "\n")
+        # the only blank cell is the last row's first, so loadtxt fails late
+        # and the row path reads the file again
+        lines[-1] = "," + lines[-1].split(",", 1)[1]
+        late.write_text(header + ",label\n" + "\n".join(
+            f"{line},{name}" for line, name in zip(lines, labels)) + "\n")
+        del lines
+        blank_last = X.copy()
+        blank_last[-1, 0] = np.nan
+        for read, want in ((lambda: ds.load_csv(str(labeled), "label").features, X),
+                           (lambda: ds.load_features(str(unlabeled)), X),
+                           (lambda: ds.load_csv(str(late), "label").features, blank_last)):
             tracemalloc.start()
             try:
                 got = read()
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert _same_bits(got, X)
+            assert _same_bits(got, want)
             assert peak <= 2 * got.nbytes, peak / got.nbytes
 
 
