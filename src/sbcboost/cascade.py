@@ -9,6 +9,7 @@ stage accepts come back as Unknown.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -175,7 +176,8 @@ def last_stage_view(train: Dataset, o: ClassOrdering, p: LastStagePolicy) -> Sta
         source = np.flatnonzero(train.labels != rarest)
     if source.size == 0:
         raise PolicySourceEmpty(f"negative source {p.source!r} empty")
-    n_neg = min(source.size, int(round(p.negatives_per_positive * pos.size)))
+    want = p.negatives_per_positive * pos.size  # inf for a huge finite ratio: take the source
+    n_neg = source.size if want >= source.size else int(round(want))
     rng = np.random.default_rng(p.seed)
     neg = source[np.sort(rng.choice(source.size, size=n_neg, replace=False))]
     rows = np.sort(np.concatenate([pos, neg]))
@@ -192,42 +194,42 @@ def stage_views(train: Dataset, o: ClassOrdering, p: LastStagePolicy) -> list[St
 def train_cascade(
     train: Dataset,
     o: ClassOrdering,
-    params_per_stage: GbtParams | list[GbtParams],
+    params: GbtParams | Callable[[np.ndarray, np.ndarray], GbtParams],
     weights_mode: str = "none",
     policy: LastStagePolicy = LastStagePolicy(),
     threshold: float = DEFAULT_THRESHOLD,
 ) -> SbcModel:
-    """Train all n stages in rank order.
+    """Train all n stages in rank order, the one walk over a cascade's stages.
 
+    ``params`` is one GbtParams for every stage, or a function of a stage's
+    rows and binary labels, called just before that stage's fit, that returns
+    its GbtParams; a StageError names the stage of an error in either.
     ``weights_mode`` is a compute_sample_weights scheme, applied to each
-    stage's binarized labels. A single GbtParams broadcasts to every stage;
-    every stage accepts at ``threshold``.
+    stage's binarized labels; every stage accepts at ``threshold``.
     """
-    n = o.n
-    if isinstance(params_per_stage, GbtParams):
-        params_per_stage = [params_per_stage] * n
-    if len(params_per_stage) != n:
-        raise ValueError(f"need {n} GbtParams, got {len(params_per_stage)}")
+    if not isinstance(params, GbtParams) and not callable(params):
+        raise TypeError(f"params must be a GbtParams or a function, got {type(params).__name__}")
+    choose = params if callable(params) else lambda X, y: params
 
     stages = []
     metadata = []
     for view in stage_views(train, o, policy):
-        i = view.stage
         X = train.features[view.row_indices]
         y = view.binary_labels
         w = compute_sample_weights(y, weights_mode)
-        t0 = time.perf_counter()
         try:
-            model = gbt.train_binary(X, y, w, params_per_stage[i])
+            stage_params = choose(X, y)
+            t0 = time.perf_counter()
+            model = gbt.train_binary(X, y, w, stage_params)
         except Exception as exc:
-            raise StageError(i, exc) from exc
+            raise StageError(view.stage, exc) from exc
         metadata.append(StageMetadata(view.n_rows, view.n_positive, time.perf_counter() - t0))
         stages.append(model)
 
     return SbcModel(
         ordering=o,
         stages=stages,
-        thresholds=[float(threshold)] * n,
+        thresholds=[float(threshold)] * o.n,
         last_stage_policy=policy,
         metadata=metadata,
         class_names=list(train.class_names),

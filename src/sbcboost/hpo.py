@@ -19,7 +19,7 @@ import numpy as np
 from . import cascade as casc
 from . import gbt
 from .data import Dataset, compute_sample_weights, shuffled_classes
-from .errors import FoldDegenerate, SingleClassInput, StageError, ValueNotInGrid
+from .errors import FoldDegenerate, SingleClassInput, ValueNotInGrid
 from .gbt import GbtParams
 from .metrics import accuracy_score, macro_f1
 
@@ -307,31 +307,23 @@ def phgs_cascade(
     threshold: float = casc.DEFAULT_THRESHOLD,
 ) -> tuple[casc.SbcModel, list[HpoResult]]:
     """Per-stage halving search where stage i's grid is the previous stage's
-    effective grid pruned around its best parameters.
+    effective grid pruned around its best parameters. train_cascade walks
+    the stages and runs each stage's search on its rows just before its fit.
 
     This is the only per-stage driver: hgs is a grid whose prune map is
     empty (every parameter unpruned), and gs is that grid with
     ``hc.min_resources`` at least ``train.n_rows``, one rung on each
     stage's full data.
     """
-    views = casc.stage_views(train, o, policy)
     results = []
-    best_per_stage = []
-    current_grid = grid
-    for view in views:
-        X = train.features[view.row_indices]
-        y = view.binary_labels
-        try:
-            result = halving_grid_search(
-                current_grid, X, y, cv, hc,
-                objective="binary", weights_mode=weights_mode, base_params=base_params,
-            )
-        except Exception as exc:
-            raise StageError(view.stage, exc) from exc
-        results.append(result)
-        best_per_stage.append(result.best_params)
-        if view.stage < o.n - 1:
-            current_grid = prune_grid(current_grid, result.best_params)
+    stage_grid = grid
 
-    model = casc.train_cascade(train, o, best_per_stage, weights_mode, policy, threshold)
-    return model, results
+    def search(X: np.ndarray, y: np.ndarray) -> GbtParams:
+        nonlocal stage_grid
+        if results:
+            stage_grid = prune_grid(stage_grid, results[-1].best_params)
+        results.append(halving_grid_search(stage_grid, X, y, cv, hc, "binary", weights_mode,
+                                           base_params))
+        return results[-1].best_params
+
+    return casc.train_cascade(train, o, search, weights_mode, policy, threshold), results

@@ -1,6 +1,7 @@
 import json
 from dataclasses import replace
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -223,6 +224,18 @@ class TestLastStage:
         # rarest class (10 rows) wants 50 negatives; majority has 30
         assert v.n_rows - v.n_positive == 30
 
+    @pytest.mark.parametrize("source", ["majority_only", "all_others"])
+    def test_huge_ratio_takes_the_whole_source(self, source):
+        """A finite ratio whose count overflows to inf takes every source row,
+        as a count just past the source's size does."""
+        d = blob_dataset([20, 30, 10], seed=2)
+        o = order_classes(class_frequencies(d))
+        huge = last_stage_view(d, o, LastStagePolicy(source, 1e308, seed=0))
+        past = last_stage_view(d, o, LastStagePolicy(source, 6.0, seed=0))
+        assert np.array_equal(huge.row_indices, past.row_indices)
+        assert np.array_equal(huge.binary_labels, past.binary_labels)
+        assert huge.n_rows - huge.n_positive == (30 if source == "majority_only" else 50)
+
     def test_all_others_source(self):
         d = blob_dataset([50, 20, 5], seed=3)
         o = order_classes(class_frequencies(d))
@@ -265,11 +278,37 @@ class TestTrainCascade:
             m.stages[0].predict_proba(d.features), standalone.predict_proba(d.features)
         )
 
-    def test_params_broadcast_and_length_check(self):
+    def test_params_broadcast_and_type_check(self):
+        """One GbtParams trains every stage; a list is neither a GbtParams nor
+        a function, and fails before any stage fits."""
         d = blob_dataset([50, 30, 10], seed=7)
         o = order_classes(class_frequencies(d))
-        with pytest.raises(ValueError):
-            train_cascade(d, o, [PARAMS, PARAMS])
+        assert [s.params for s in train_cascade(d, o, PARAMS).stages] == [PARAMS] * 3
+        with mock.patch("sbcboost.gbt.train_binary") as fit:
+            with pytest.raises(TypeError, match="GbtParams or a function"):
+                train_cascade(d, o, [PARAMS] * 3)
+        fit.assert_not_called()
+
+    def test_params_function_sees_each_stage_before_its_fit(self):
+        """A params function is called once per stage, in rank order, on the
+        stage's rows and labels, and its choice trains that stage. A stage's
+        fit seconds leave out the function's time: only it moves the clock."""
+        d = blob_dataset([50, 30, 10], seed=7)
+        o = order_classes(class_frequencies(d))
+        calls, clock = [], [0.0]
+
+        def choose(X, y):
+            calls.append((X.shape[0], int(y.sum()), fits.call_count))
+            clock[0] += 100.0
+            return replace(PARAMS, max_depth=len(calls))
+
+        with mock.patch("sbcboost.gbt.train_binary", wraps=train_binary) as fits, \
+                mock.patch("time.perf_counter", lambda: clock[0]):
+            m = train_cascade(d, o, choose)
+        assert calls == [(m.metadata[i].train_size, m.metadata[i].n_positive, i)
+                         for i in range(3)]
+        assert [s.params.max_depth for s in m.stages] == [1, 2, 3]
+        assert [meta.train_seconds for meta in m.metadata] == [0.0] * 3
 
     def test_thresholds_checked(self):
         d = blob_dataset([50, 30, 10], seed=7)

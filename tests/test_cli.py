@@ -1074,6 +1074,18 @@ class TestConfigValues:
         assert f"{key} must be finite" in capsys.readouterr().err
         assert not (tmp_path / "out" / "bundle.json").exists()
 
+    def test_huge_finite_negatives_per_positive(self, prepared):
+        """A ratio whose negative count overflows to inf samples the whole
+        majority class, as any count past its size does."""
+        tmp_path, cfg, _ = prepared
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps(dict(cfg, method="sbc", last_stage={
+            "source": "majority_only", "negatives_per_positive": 1e308})))
+        assert cli.main(["train", "--config", str(p)]) == 0
+        counts = np.bincount(ds.load_csv(cfg["train_csv"], "label").labels)
+        bundle = ModelBundle.load(str(tmp_path / "out" / "bundle.json"))
+        assert bundle.model.metadata[-1].train_size == counts.min() + counts.max()
+
     @pytest.mark.parametrize("argv", [["train"], ["benchmark", "--methods", "mcc"]],
                              ids=["train", "benchmark"])
     def test_config_nested_too_deep(self, tmp_path, capsys, argv):
@@ -1148,7 +1160,7 @@ FUZZ_FIELDS = [(section, name) for section, fields in (
 ) for name in fields]
 FUZZ_SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(-2, 3),
-    st.sampled_from([0.0, 0.5, 1.0, 2.5, -1.0, NAN, INF, -INF]),
+    st.sampled_from([0.0, 0.5, 1.0, 2.5, -1.0, 1e308, NAN, INF, -INF]),
     st.sampled_from(["", "x", "label", "train.csv", "sbc", "mcc", "hgs", "phgs", "none",
                      "inverse_frequency", "emit_unknown", "all_others", "accuracy"]),
 )

@@ -274,6 +274,26 @@ class TestPhgs:
         assert all(len(r.trials) == 6 for r in results)
         assert len(model.stages) == 4
 
+    def test_one_walk_over_the_stages(self):
+        """train_cascade builds the stage views once and hands each stage's
+        rows to that stage's search; the search itself builds none."""
+        d, o, grid, cv, hc = self._setup()
+        with mock.patch.object(casc, "stage_views", wraps=casc.stage_views) as views:
+            model, results = phgs_cascade(d, o, grid, cv, hc, base_params=FAST)
+        assert views.call_count == 1
+        assert [m.params for m in model.stages] == [r.best_params for r in results]
+
+    def test_failed_search_names_its_stage(self):
+        """Stage 1 holds 2 rows of its rarer class, so one of 3 folds sees
+        only the stage's own class."""
+        d = blob_dataset([60, 30, 2], seed=3)
+        o = order_classes(class_frequencies(d))
+        with pytest.raises(StageError) as err:
+            phgs_cascade(d, o, HpGrid.from_mapping({"max_depth": [1, 2]}), CvConfig(folds=3),
+                         HalvingConfig(min_resources=20), base_params=FAST)
+        assert err.value.stage == 1
+        assert str(err.value) == "stage 1: fold 2 degenerate: validation part has a single class"
+
 
 # --- differential oracle ---------------------------------------------------
 # Exhaustive grid search and per-stage gs/hgs written out directly, without
@@ -335,7 +355,9 @@ def reference_per_stage_search(train, o, grid, cv, mode, hc=None, weights_mode="
                                    or (v <= best if side == "upper_bound" else v >= best))
             grid = HpGrid(kept, grid.prune)
 
-    model = casc.train_cascade(train, o, best_per_stage, weights_mode, policy, threshold)
+    chosen = iter(best_per_stage)
+    model = casc.train_cascade(train, o, lambda X, y: next(chosen), weights_mode, policy,
+                               threshold)
     return model, results
 
 
