@@ -4,8 +4,9 @@ Supports a binary-logistic head (cascade base classifier) and a
 multiclass-softmax head (baseline), boosted by one loop: the binary head is
 its one-column case. Split finding is exact greedy over
 columns sorted once per fit (the column-block layout of XGBoost), each node
-scoring its features as blocks in a few numpy calls, and the root's cuts,
-which depend only on its rows, found once per row set. A softmax round's
+scoring its features as blocks in a few numpy calls over g and h packed as
+one complex array (one gather, one prefix sum), and the root's cuts, which
+depend only on its rows, found once per row set. A softmax round's
 trees grow in forked worker processes, one per usable CPU; all randomness
 flows from the params seed, so training is reproducible bit-for-bit.
 """
@@ -306,12 +307,24 @@ def _root_cuts(XT, block) -> list:
     return [_block_cuts(XT, lines, a) for a, lines in _block_lines(block, XT.shape[0])]
 
 
-def _best_split(XT, g, h, seg, lam, mcw, parent_score, cuts=None):
+def _pack(g, h):
+    """g and h as one complex128 array, g real and h imaginary. Not
+    ``g + 1j*h``: 1j * inf is (nan + inf*j), so an infinite h would spoil g."""
+    gh = np.empty(g.shape, dtype=np.complex128)
+    gh.real = g
+    gh.imag = h
+    return gh
+
+
+def _best_split(XT, gh, seg, lam, mcw, parent_score, cuts=None):
     """Best (gain, feature, threshold, default_left) of the node whose block
-    segment is ``seg``, or None; ``cuts`` is the node's _root_cuts, if known.
+    segment is ``seg``, or None; ``gh`` is the _pack of the gradients and
+    hessians, and ``cuts`` the node's _root_cuts, if known.
 
     Scores each of _block_lines' blocks in a few numpy calls over its
-    (features x m) sorted g and h. A cut lies between two adjacent values
+    (features x m) sorted g and h, gathered and prefix-summed as one packed
+    array: complex addition adds each part alone, so the parts' bits equal
+    two real cumsums'. A cut lies between two adjacent values
     that differ; NaNs sort last and compare false, so they cut nothing, and
     their rows go as one group to whichever side scores better. Ties keep the
     lowest feature, then default_left, then the lowest threshold; a NaN gain,
@@ -325,13 +338,10 @@ def _best_split(XT, g, h, seg, lam, mcw, parent_score, cuts=None):
             continue
         cut, bounds, count, cut_lines, starts, missing, n_ok = block_cuts
         kb = lines.shape[0]
-        G = g.take(lines)
-        H = h.take(lines)
-        gl = G.cumsum(axis=1).take(cut)
-        hl = H.cumsum(axis=1).take(cut)
-        g_tot = G.sum(axis=1)  # a C-contiguous row sums bit for bit as a 1-D array
+        C = gh.take(lines)
+        G, H = C.real, C.imag
+        g_tot = G.sum(axis=1)  # a strided row sums bit for bit as a contiguous 1-D array
         h_tot = H.sum(axis=1)
-        passes = [(gl, hl)]
         if missing.size:
             gm = np.zeros(kb)
             hm = np.zeros(kb)
@@ -340,6 +350,12 @@ def _best_split(XT, g, h, seg, lam, mcw, parent_score, cuts=None):
                 hm[j] = H[j, n_j:].sum()
                 g_tot[j] = G[j, :n_j].sum() + gm[j]
                 h_tot[j] = H[j, :n_j].sum() + hm[j]
+        np.cumsum(C, axis=1, out=C)
+        cl = C.take(cut)
+        del C, G, H  # free the block before the scoring's temporaries
+        gl, hl = cl.real, cl.imag
+        passes = [(gl, hl)]
+        if missing.size:
             passes.insert(0, (gl + np.repeat(gm, count), hl + np.repeat(hm, count)))
         scores, gains = [], []
         g_tot, h_tot = np.repeat(g_tot, count), np.repeat(h_tot, count)  # per cut
@@ -392,6 +408,7 @@ def _build_tree(XT, g, h, block, root_cuts, params: GbtParams):
     a row-ordered column of each block row's leaf value; others are unset."""
     lam = params.l2_lambda
     mcw = params.min_child_weight
+    gh = _pack(g, h)
     goes_left = np.zeros(XT.shape[1], dtype=bool)
     column = np.empty(XT.shape[1])
     nodes = []                      # (feature, threshold, default_left, value)
@@ -410,7 +427,7 @@ def _build_tree(XT, g, h, block, root_cuts, params: GbtParams):
         if depth < params.max_depth and rows.size >= 2 and H + lam:
             # NaN and inf scores are handled explicitly (see _best_split)
             with np.errstate(divide="ignore", invalid="ignore"):
-                best = _best_split(XT, g, h, seg, lam, mcw, G**2 / (H + lam),
+                best = _best_split(XT, gh, seg, lam, mcw, G**2 / (H + lam),
                                    root_cuts if node == 0 else None)
         if best is None or best[0] <= _GAIN_EPS:
             nodes.append((-1, 0.0, True, -G / (H + lam) if H + lam else 0.0))

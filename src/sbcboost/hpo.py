@@ -3,7 +3,9 @@ pruned per-stage variant for cascades.
 
 Candidates are enumerated lexicographically over parameter name, then
 value index; ties in score always resolve to the earlier candidate, so
-every search is deterministic given its seeds.
+every search is deterministic given its seeds. Candidates that differ only
+in ``num_rounds`` share one fit per CV fold: a model's first r rounds are
+the r-round model.
 """
 
 from __future__ import annotations
@@ -142,17 +144,30 @@ def _kfold_indices(y: np.ndarray, cv: CvConfig) -> list[np.ndarray]:
 def cross_validate(
     X: np.ndarray,
     y: np.ndarray,
-    params: GbtParams,
+    params: GbtParams | list[GbtParams],
     cv: CvConfig,
     objective: str = "binary",
     weights_mode: str = "none",
-) -> float:
-    """Mean held-out metric across folds; folds fixed by the cv seed."""
+) -> float | list[float]:
+    """Mean held-out metric across folds; folds fixed by the cv seed.
+
+    ``params`` is one GbtParams, whose score is returned, or a family: a list
+    of GbtParams equal in all but ``num_rounds``, whose scores are returned in
+    its order. Each fold fits once, at the family's largest ``num_rounds``,
+    and scores each member on that model's first ``num_rounds`` rounds. Round
+    t depends only on the rounds before it and on ``seed + t``, so those are
+    the rounds the member's own fit would grow, bit for bit.
+    """
+    family = [params] if isinstance(params, GbtParams) else list(params)
+    top = max(family, key=lambda p: p.num_rounds)
+    if any(replace(p, num_rounds=top.num_rounds) != top for p in family):
+        raise ValueError("a family's members may differ only in num_rounds")
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     n_classes = int(y.max()) + 1
     folds = _kfold_indices(y, cv)
-    scores = []
+    train = gbt.train_binary if objective == "binary" else gbt.train_multiclass
+    scores = [[] for _ in family]
     for f, val_idx in enumerate(folds):
         if np.unique(y[val_idx]).size < 2:
             raise FoldDegenerate(f, "validation part has a single class")
@@ -162,18 +177,18 @@ def cross_validate(
         y_tr = y[tr_idx]
         w = compute_sample_weights(y_tr, weights_mode)
         try:
-            if objective == "binary":
-                model = gbt.train_binary(X[tr_idx], y_tr, w, params)
-            else:
-                model = gbt.train_multiclass(X[tr_idx], y_tr, w, params)
+            model = train(X[tr_idx], y_tr, w, top)
         except SingleClassInput as exc:
             raise FoldDegenerate(f, str(exc)) from exc
-        pred = model.predict_class(X[val_idx])
-        if cv.metric == "accuracy":
-            scores.append(accuracy_score(y[val_idx], pred))
-        else:
-            scores.append(macro_f1(y[val_idx], pred, n_classes, present_only=True))
-    return float(np.mean(scores))
+        X_val, y_val = X[val_idx], y[val_idx]
+        for p, member_scores in zip(family, scores):
+            pred = replace(model, trees=model.trees[:p.num_rounds], params=p).predict_class(X_val)
+            if cv.metric == "accuracy":
+                member_scores.append(accuracy_score(y_val, pred))
+            else:
+                member_scores.append(macro_f1(y_val, pred, n_classes, present_only=True))
+    means = [float(np.mean(s)) for s in scores]
+    return means[0] if isinstance(params, GbtParams) else means
 
 
 def grid_search(
@@ -243,6 +258,10 @@ def halving_grid_search(
     best score first, equal scores in enumeration order. A later rung that
     holds one candidate is not scored, since that candidate won the rung
     before, and the winner is not re-scored on the full data.
+
+    A rung's candidates that differ only in ``num_rounds`` form a family,
+    cross-validated together with one fit per fold (see cross_validate);
+    each member's trial takes an equal share of its family's seconds.
     """
     t_start = time.perf_counter()
     X = np.asarray(X, dtype=np.float64)
@@ -258,13 +277,20 @@ def halving_grid_search(
         rng = np.random.default_rng(hc.seed + it)
         sub = _stratified_subsample(y, resources, cv.folds, rng)
         X_sub, y_sub = X[sub], y[sub]
-        scores = {}
+        families = {}  # candidates equal in all but num_rounds, in enumeration order
         for ci in sorted(ranked[:n_cand]):
-            params = replace(base_params, **combos[ci])
+            key = tuple((k, v) for k, v in combos[ci].items() if k != "num_rounds")
+            families.setdefault(key, []).append(ci)
+        scores, seconds = {}, {}
+        for members in families.values():
             t0 = time.perf_counter()
-            scores[ci] = cross_validate(X_sub, y_sub, params, cv, objective, weights_mode)
-            trials.append(Trial(combos[ci], int(resources), scores[ci], time.perf_counter() - t0))
-        ranked = sorted(scores, key=lambda ci: -scores[ci])  # stable: ties keep enumeration order
+            family = [replace(base_params, **combos[ci]) for ci in members]
+            scores.update(zip(members, cross_validate(X_sub, y_sub, family, cv, objective,
+                                                      weights_mode)))
+            seconds.update(dict.fromkeys(members, (time.perf_counter() - t0) / len(members)))
+        ranked = sorted(sorted(scores), key=lambda ci: -scores[ci])  # ties keep enumeration order
+        trials.extend(Trial(combos[ci], int(resources), scores[ci], seconds[ci])
+                      for ci in sorted(scores))
 
     return HpoResult(
         best_params=replace(base_params, **combos[ranked[0]]),

@@ -633,8 +633,8 @@ class TestPresortDifferential:
 
 
 def _split_node(X, g, h, rows, lam, mcw, pad=(0, 0)):
-    """_best_split's arguments for a node over ``rows``: its segment is a view
-    into a block ``pad`` columns wider, as a child's is."""
+    """reference_best_split's arguments for a node over ``rows``: its segment
+    is a view into a block ``pad`` columns wider, as a child's is."""
     XT = np.ascontiguousarray(np.asarray(X, dtype=np.float64).T)
     g, h, rows = (np.asarray(a, dtype=dt) for a, dt in ((g, float), (h, float), (rows, int)))
     node = gbt._tree_block(gbt._sort_columns(XT), rows)
@@ -644,6 +644,13 @@ def _split_node(X, g, h, rows, lam, mcw, pad=(0, 0)):
     with np.errstate(all="ignore"):
         parent_score = G**2 / (H + lam)
     return XT, g, h, wide[:, pad[0]:pad[0] + rows.size], lam, mcw, parent_score
+
+
+def _packed(node):
+    """_best_split's arguments for a _split_node: g and h packed as
+    _build_tree packs them, while the oracle keeps reading them unpacked."""
+    XT, g, h, *rest = node
+    return (XT, gbt._pack(g, h), *rest)
 
 
 @st.composite
@@ -685,16 +692,22 @@ class TestBlockScanDifferential:
     # the first line's NaN gain is kept, at its first cut
     @example((_split_node([[0.0], [1.0], [2.0], [3.0]], [1e200] * 4, [1.0] * 4,
                           [0, 1, 2, 3], 1.0, 0.0), gbt._BLOCK))
+    # an infinite hessian in the last row: packing it as g + 1j*h would make
+    # that row's g NaN (1j * inf is nan + inf*j), and every gain with it; the
+    # cut at 1.5 leaves it right and scores 1.5
+    @example((_split_node([[0.0], [1.0], [2.0], [3.0]], [-2.0, -1.0, 1.0, 2.0],
+                          [1.0, 1.0, 1.0, np.inf], [0, 1, 2, 3], 1.0, 0.0), gbt._BLOCK))
     @settings(max_examples=400, deadline=None)
     @given(split_nodes())
     def test_best_split(self, case):
         node, block = case
         with mock.patch.object(gbt, "_BLOCK", block):
             want = _split_json(reference_best_split, node)
-            assert _split_json(gbt._best_split, node) == want
+            args = _packed(node)
+            assert _split_json(gbt._best_split, args) == want
             # the same split from cuts found before the scoring, as a root's are
             XT, seg = node[0], node[3]
-            assert _split_json(gbt._best_split, node + (gbt._root_cuts(XT, seg),)) == want
+            assert _split_json(gbt._best_split, args + (gbt._root_cuts(XT, seg),)) == want
 
     @pytest.mark.parametrize("n_rows, n_features", [(gbt._BLOCK + 100, 3), (1000, 40)],
                              ids=["one_feature_per_block", "two_blocks"])
@@ -708,7 +721,7 @@ class TestBlockScanDifferential:
         h = rng.random(n_rows)
         rows = np.flatnonzero(rng.random(n_rows) < 0.9)
         node = _split_node(X, g, h, rows, 1.0, 1.0, pad=(5, 7))
-        got = _split_json(gbt._best_split, node)
+        got = _split_json(gbt._best_split, _packed(node))
         assert got == _split_json(reference_best_split, node)
         assert json.loads(got)[1] == n_features - 1
 

@@ -81,6 +81,52 @@ class TestCrossValidate:
             cross_validate(X, y, FAST, CvConfig(folds=3, seed=0), "binary")
 
 
+class TestFamilies:
+    """Candidates that differ only in num_rounds share one fit per fold."""
+
+    @pytest.mark.parametrize("subsample", [1.0, 0.7])
+    @pytest.mark.parametrize("weights_mode", ["none", "inverse_frequency"])
+    @pytest.mark.parametrize("objective", ["binary", "multiclass"])
+    @given(data=st.data())
+    @settings(max_examples=8, deadline=None)
+    def test_family_scores_equal_single_scores(self, objective, weights_mode, subsample, data):
+        n_classes = 2 if objective == "binary" else 3
+        counts = data.draw(st.lists(st.integers(9, 40), min_size=n_classes, max_size=n_classes))
+        X, y = gaussian_blobs(counts, scale=data.draw(st.sampled_from([3.0, 8.0])),
+                              seed=data.draw(st.integers(0, 2**16)), n_features=3)
+        base = GbtParams(learning_rate=data.draw(st.sampled_from([0.1, 0.3, 1.0])),
+                         max_depth=data.draw(st.integers(1, 3)), subsample=subsample,
+                         seed=data.draw(st.integers(0, 100)))
+        cv = CvConfig(folds=3, metric=data.draw(st.sampled_from(["macro_f1", "accuracy"])),
+                      seed=data.draw(st.integers(0, 100)))
+        family = [replace(base, num_rounds=r) for r in data.draw(st.permutations([2, 3, 5]))]
+        got = cross_validate(X, y, family, cv, objective, weights_mode)
+        assert got == [cross_validate(X, y, p, cv, objective, weights_mode) for p in family]
+
+    def test_family_differing_in_more_than_num_rounds(self):
+        X, y = gaussian_blobs([30, 30], seed=1)
+        family = [replace(FAST, num_rounds=2), replace(FAST, num_rounds=3, max_depth=3)]
+        with pytest.raises(ValueError, match="only in num_rounds"):
+            cross_validate(X, y, family, CvConfig(folds=3), "binary")
+
+    def test_one_fit_per_family_per_fold(self):
+        """Two families of three: 2 x 3 folds fits, not 6 x 3."""
+        X, y = gaussian_blobs([60, 45], scale=4.0, seed=5)
+        grid = HpGrid.from_mapping({"max_depth": [1, 2], "num_rounds": [2, 3, 5]})
+        with mock.patch.object(hpo.gbt, "train_binary", wraps=hpo.gbt.train_binary) as fit:
+            result = grid_search(grid, X, y, CvConfig(folds=3), base_params=FAST)
+        assert fit.call_count == 6
+        assert {call.args[3].num_rounds for call in fit.call_args_list} == {5}
+        for t in result.trials:
+            params = replace(FAST, **t.params)
+            assert t.score == cross_validate(X, y, params, CvConfig(folds=3), "binary")
+        # a family's members share its seconds equally, so the trials' seconds
+        # sum to no more than the search's wall clock
+        assert len({t.seconds for t in result.trials[:3]}) == 1
+        assert len({t.seconds for t in result.trials[3:]}) == 1
+        assert sum(t.seconds for t in result.trials) <= result.wall_clock
+
+
 class TestGrid:
     def test_ascending_required(self):
         with pytest.raises(ValueError):
@@ -669,6 +715,9 @@ def tied_searches(draw):
         "num_rounds": st.lists(st.integers(1, 50), min_size=1, max_size=4, unique=True),
         "learning_rate": st.lists(st.sampled_from([0.05, 0.1, 0.3, 1.0]), min_size=1,
                                   max_size=3, unique=True),
+        # enumerated after num_rounds, so a num_rounds family is not contiguous
+        "subsample": st.lists(st.sampled_from([0.5, 0.7, 1.0]), min_size=1, max_size=2,
+                              unique=True),
     }
     names = draw(st.lists(st.sampled_from(sorted(values)), min_size=1, unique=True))
     grid = HpGrid.from_mapping({n: sorted(draw(values[n])) for n in names})
@@ -694,7 +743,12 @@ class TestRankedHalvingDifferential:
         X = np.arange(y.size, dtype=np.float64).reshape(-1, 1)  # column 0: row ids
         combos = grid.combinations()
 
-        def score(X, y, params, cv, objective, weights_mode):
+        def score(X, y, family, cv, objective, weights_mode):
+            # a rung hands over each family of candidates at once, as a list
+            return [one_score(X, params) for params in family] \
+                if isinstance(family, list) else one_score(X, family)
+
+        def one_score(X, params):
             ci = combos.index({k: getattr(params, k) for k in combos[0]})
             return (table[ci] + int(X[:, 0].sum())) % levels / levels
 
